@@ -23,9 +23,9 @@ from .algebras import (
     four_cycle,
     from_presentation,
     identity_map,
-    load_algebra_file,
     map_power,
     preset,
+    read_presentation,
     resolve_algebra,
     semilinear_apply,
     specialize_ncpoly,
@@ -47,7 +47,7 @@ from .certificates import (
     certificate_to_json,
     read_certificate,
     replay,
-    write_certificate,
+    write_json,
 )
 from .coeffring import (
     RATIONALS,

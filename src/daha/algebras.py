@@ -22,6 +22,8 @@ the Askey-Wilson-shaped form of the cyclic x, y, z relations.
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -240,22 +242,23 @@ def from_presentation(spec: PresentationSpec) -> AlgebraPresentation:
     return pres
 
 
-def load_algebra_file(path) -> AlgebraPresentation:
+def read_presentation(path) -> PresentationSpec:
     with open(path, encoding="utf-8") as handle:
-        return from_presentation(load_presentation(handle.read()))
+        return load_presentation(handle.read())
 
 
-def resolve_algebra(token: str) -> AlgebraPresentation:
-    """A preset name, or a path to a presentation file."""
+def resolve_algebra(token: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
+    """A preset name, or a path to a presentation file, optionally reordered."""
     if token in PRESET_NAMES:
-        return preset(token)
-    import os
-
-    if os.path.exists(token):
-        return load_algebra_file(token)
-    raise UnsupportedPresetError(
-        f"{token!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a file"
-    )
+        return preset(token, order=order)
+    if not os.path.exists(token):
+        raise UnsupportedPresetError(
+            f"{token!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a file"
+        )
+    spec = read_presentation(token)
+    if order:
+        spec = dataclasses.replace(spec, order=tuple(order))
+    return from_presentation(spec)
 
 
 # -- the x, y, z elements ----------------------------------------------------

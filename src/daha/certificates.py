@@ -3,13 +3,15 @@
 A certificate carries its own context: the algebra description, the
 term order, a snapshot of the rules it used, and the rendered initial
 element.  Replay therefore needs nothing from the producing session; it
-rebuilds the ring and alphabet, re-applies every recorded step, and
-compares hashes.  It deliberately does not re-run completion: a replay
-validates the reduction trace, not the provenance of the rules.
+rebuilds the ring and alphabet, applies every recorded step in place to
+one term map, in time linear in the number of steps, and compares
+hashes.  It deliberately does not re-run completion: a replay validates
+the reduction trace, not the provenance of the rules.
 
-Tampering surfaces as one of: a hash mismatch, a step that references
-an unknown rule id, or a rule that does not match its recorded word and
-position.
+Tampering surfaces as one of: a hash mismatch, a wrong final rendering,
+or a failing step, reported with its 1-based index: an unknown rule id,
+an absent word, a rule that does not match its recorded word and
+position, or a state that differs from the recorded one.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .rewrite import (
     ReductionCertificate,
     ReductionStep,
     RewriteRule,
-    apply_step,
     make_rule,
+    step_in_place,
 )
 
 FORMAT_NAME = "daha-reduction-certificate"
@@ -96,9 +98,10 @@ def certificate_from_json(data: dict) -> ReductionCertificate:
         raise CertificateError(f"malformed certificate: {exc}") from exc
 
 
-def write_certificate(cert: ReductionCertificate, path) -> None:
+def write_json(payload: dict, path) -> None:
+    """Write indented JSON with a trailing newline, as every output file is."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(certificate_to_json(cert), handle, indent=2)
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
@@ -153,22 +156,28 @@ def _replay_checked(cert: ReductionCertificate) -> int:
         rules[rule_id] = make_rule(order, rule_id, lhs, rhs)
 
     try:
-        current = parse_expr(cert.initial, alphabet, ring)
+        initial = parse_expr(cert.initial, alphabet, ring)
     except (DahaError, ValueError) as exc:
         raise CertificateError(f"bad initial element: {exc}") from exc
-    if canonical_hash(current) != cert.initial_hash:
+    if canonical_hash(initial) != cert.initial_hash:
         raise CertificateError("initial hash mismatch")
 
     if cert.states is not None and len(cert.states) != len(cert.steps):
         raise CertificateError("state list does not match the step count")
-    for index, step in enumerate(cert.steps):
-        current = apply_step(current, step, rules)
-        if cert.states is not None:
-            if current.render() != cert.states[index]:
-                raise CertificateError(f"state mismatch after step {index + 1}")
+    terms = dict(initial.terms)
+    for index, step in enumerate(cert.steps, start=1):
+        try:
+            step_in_place(terms, step, rules, alphabet)
+        except CertificateError as exc:
+            raise CertificateError(f"step {index}: {exc}") from None
+        if cert.states is not None and (
+            NCPoly(alphabet, ring, terms).render() != cert.states[index - 1]
+        ):
+            raise CertificateError(f"step {index}: state mismatch")
 
-    if canonical_hash(current) != cert.final_hash:
+    final = NCPoly(alphabet, ring, terms)
+    if canonical_hash(final) != cert.final_hash:
         raise CertificateError("final hash mismatch")
-    if current.render() != cert.final:
+    if final.render() != cert.final:
         raise CertificateError("final element does not match its rendering")
     return len(cert.steps)

@@ -11,17 +11,14 @@ exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from typing import Optional
 
 from . import __version__
-from .algebras import PRESET_NAMES, from_presentation, preset
+from .algebras import PRESET_NAMES, read_presentation, resolve_algebra
 from .braid import b3_act, b3_normal_form
-from .certificates import certificate_to_json, read_certificate, replay
+from .certificates import certificate_to_json, read_certificate, replay, write_json
 from .errors import DahaError
-from .exprs import load_presentation
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -31,28 +28,8 @@ def _parse_order(text: Optional[str]):
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-def _load_spec(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return load_presentation(fh.read())
-
-
-def _build_algebra(token: str, order):
-    if token in PRESET_NAMES:
-        return preset(token, order=order)
-    spec = _load_spec(token)
-    if order:
-        spec = dataclasses.replace(spec, order=order)
-    return from_presentation(spec)
-
-
-def _write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _cmd_reduce(args) -> int:
-    alg = _build_algebra(args.algebra, _parse_order(args.order))
+    alg = resolve_algebra(args.algebra, _parse_order(args.order))
     alg.complete(args.degree)
     element = alg.parse(args.expr)
     normal, cert = alg.system.reduce_with_certificate(element, verbose=args.verbose_cert)
@@ -61,13 +38,13 @@ def _cmd_reduce(args) -> int:
     print(f"normal:  {normal.render()}")
     print(f"steps:   {len(cert.steps)}")
     if args.json:
-        _write_json(args.json, certificate_to_json(cert))
+        write_json(certificate_to_json(cert), args.json)
         print(f"certificate: {args.json}")
     return 0
 
 
 def _cmd_check_equal(args) -> int:
-    alg = _build_algebra(args.algebra, _parse_order(args.order))
+    alg = resolve_algebra(args.algebra, _parse_order(args.order))
     alg.complete(args.degree)
     lhs = alg.parse(args.lhs)
     rhs = alg.parse(args.rhs)
@@ -75,13 +52,13 @@ def _cmd_check_equal(args) -> int:
     print(f"algebra: {alg.name} (completed to degree {alg.system.confluence_degree})")
     print(f"verdict: {outcome.summary()}")
     if args.json:
-        _write_json(args.json, certificate_to_json(outcome.certificate))
+        write_json(certificate_to_json(outcome.certificate), args.json)
         print(f"certificate: {args.json}")
     return 0 if outcome.equal else 1
 
 
 def _cmd_complete(args) -> int:
-    alg = _build_algebra(args.algebra, _parse_order(args.order))
+    alg = resolve_algebra(args.algebra, _parse_order(args.order))
     report = alg.complete(args.degree)
     print(f"algebra: {alg.name}")
     print(
@@ -109,13 +86,13 @@ def _cmd_complete(args) -> int:
                 for rule in rules
             ],
         }
-        _write_json(args.json, payload)
+        write_json(payload, args.json)
         print(f"report: {args.json}")
     return 0
 
 
 def _cmd_braid_act(args) -> int:
-    alg = _build_algebra(args.algebra, _parse_order(args.order))
+    alg = resolve_algebra(args.algebra, _parse_order(args.order))
     alg.complete(args.degree)
     word = b3_normal_form(args.word)
     element = alg.parse(args.expr)
@@ -131,15 +108,13 @@ def _cmd_braid_act(args) -> int:
             "input": element.render(),
             "result": result.render(),
         }
-        _write_json(args.json, payload)
+        write_json(payload, args.json)
         print(f"report: {args.json}")
     return 0
 
 
 def _cmd_suite(args) -> int:
-    override = None
-    if args.algebra not in PRESET_NAMES:
-        override = _load_spec(args.algebra)
+    override = None if args.algebra in PRESET_NAMES else read_presentation(args.algebra)
     result = run_suite(
         args.name,
         degree=args.degree,

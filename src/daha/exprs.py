@@ -99,11 +99,16 @@ class Sum(Node):
     terms: tuple  # of (sign, node) with sign in {+1, -1}
 
 
+#: deepest parenthesis nesting accepted, well inside Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.at]
@@ -183,8 +188,12 @@ class _Parser:
             return Sym(tok.pos, tok.text)
         if tok.kind == "op" and tok.text == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
 
@@ -291,20 +300,37 @@ def ast_to_ncpoly(
                     )
             return inv_resolver(alphabet.word(*node.names))
         if isinstance(node, Pow):
-            base = walk(node.base)
-            if node.exponent >= 0:
-                return base ** node.exponent
+            base, exponent = walk(node.base), node.exponent
+            if exponent >= 0:
+                if len(base.terms) != 1:
+                    return base ** exponent
+                ((w, c),) = base.terms.items()
+                return NCPoly.monomial(alphabet, ring, w * exponent, c ** exponent)
             if set(base.support()) != {()} or not base.terms[()].is_unit():
-                raise ParseError(
-                    "negative powers apply to unit scalars only", node.pos
-                )
-            inverse = monomial_inverse(base.terms[()])
-            return scalar(inverse ** (-node.exponent))
+                raise ParseError("negative powers apply to unit scalars only", node.pos)
+            return scalar(monomial_inverse(base.terms[()]) ** -exponent)
         if isinstance(node, Prod):
-            out = scalar(ring.one())
+            # letters and single-term factors fold into one word and coefficient,
+            # which join the next factor with several terms before it multiplies
+            head, word, coeff = None, [], ring.one()
             for factor in node.factors:
-                out = out * walk(factor)
-            return out
+                if isinstance(factor, Sym) and factor.name in alphabet.symbols:
+                    word.append(alphabet.index(factor.name))
+                    continue
+                value = walk(factor)
+                if len(value.terms) == 1:
+                    ((w, c),) = value.terms.items()
+                    word.extend(w)
+                    coeff = coeff * c
+                    continue
+                if word or not coeff.is_one():
+                    value = NCPoly.monomial(alphabet, ring, word, coeff) * value
+                    word, coeff = [], ring.one()
+                head = value if head is None else head * value
+            if head is None or word or not coeff.is_one():
+                tail = NCPoly.monomial(alphabet, ring, word, coeff)
+                head = tail if head is None else head * tail
+            return head
         if isinstance(node, Sum):
             out = NCPoly.zero(alphabet, ring)
             for sign, term in node.terms:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .coeffring import ParamRing, monomial_inverse
 from .errors import (
@@ -144,35 +144,63 @@ class EqualityVerdict:
         )
 
 
-def apply_step(p: NCPoly, step: ReductionStep, rules: Mapping[int, RewriteRule]) -> NCPoly:
-    """Apply one recorded step to a full element; raises
+def substitute(terms: dict, word: Word, pos: int, rule: RewriteRule, coeff) -> list:
+    """The one rewrite step: add `coeff * pre * rule.rhs * suf` into `terms`
+    in place, where `pre` and `suf` surround the lhs match at `pos` in
+    `word` (which the caller has removed).  Keeps `terms` free of zero
+    coefficients; returns the words that were not in `terms` before."""
+    pre = word[:pos]
+    suf = word[pos + len(rule.lhs) :]
+    inserted = []
+    for w2, c2 in rule.rhs.terms.items():
+        new_word = pre + w2 + suf
+        c = coeff * c2
+        old = terms.get(new_word)
+        if old is None:
+            terms[new_word] = c
+            inserted.append(new_word)
+        else:
+            s = old + c
+            if s.is_zero():
+                del terms[new_word]
+            else:
+                terms[new_word] = s
+    return inserted
+
+
+def step_in_place(terms: dict, step: ReductionStep, rules: Mapping, alphabet: Alphabet):
+    """Apply one recorded step to the term map `terms` in place; raises
     :class:`CertificateError` when the step does not fit."""
     rule = rules.get(step.rule_id)
     if rule is None:
-        raise CertificateError(f"step references unknown rule id {step.rule_id}")
+        raise CertificateError(f"unknown rule id {step.rule_id}")
     word = step.word
-    coeff = p.terms.get(word)
+    coeff = terms.get(word)
     if coeff is None:
-        raise CertificateError(
-            f"step touches absent word {p.alphabet.render_word(word)}"
-        )
-    size = len(rule.lhs)
+        raise CertificateError(f"absent word {alphabet.render_word(word)}")
     pos = step.position
-    if pos < 0 or pos + size > len(word) or word[pos : pos + size] != rule.lhs:
+    if pos < 0 or word[pos : pos + len(rule.lhs)] != rule.lhs:
         raise CertificateError(
             f"rule {step.rule_id} does not match "
-            f"{p.alphabet.render_word(word)} at position {pos}"
+            f"{alphabet.render_word(word)} at position {pos}"
         )
-    pre = NCPoly.monomial(p.alphabet, p.ring, word[:pos], coeff)
-    suf = NCPoly.monomial(p.alphabet, p.ring, word[pos + size :])
-    return p - NCPoly.monomial(p.alphabet, p.ring, word, coeff) + pre * rule.rhs * suf
+    del terms[word]
+    substitute(terms, word, pos, rule, coeff)
+
+
+def apply_step(p: NCPoly, step: ReductionStep, rules: Mapping[int, RewriteRule]) -> NCPoly:
+    """:func:`step_in_place` on a copy of `p`."""
+    terms = dict(p.terms)
+    step_in_place(terms, step, rules, p.alphabet)
+    return NCPoly(p.alphabet, p.ring, terms)
 
 
 class RewriteSystem:
     """Rules over one alphabet and coefficient ring, plus completion state.
 
-    `confluence_degree` is the largest degree bound completion has been
-    run to; it only ever grows.  Rule ids are never reused, so a
+    `confluence_degree` is the degree bound up to which completion has
+    resolved every ambiguity of the current rules; a rule added from
+    outside completion resets it to 0.  Rule ids are never reused, so a
     certificate's rule snapshot stays unambiguous even after
     inter-reduction has replaced or retired rules.
     """
@@ -201,6 +229,11 @@ class RewriteSystem:
     # -- rule bookkeeping --------------------------------------------------
 
     def add_rule(self, lhs: Word, rhs: NCPoly) -> RewriteRule:
+        """Add a rule from outside completion, which voids earlier completion."""
+        self.confluence_degree = 0
+        return self._add_rule(lhs, rhs)
+
+    def _add_rule(self, lhs: Word, rhs: NCPoly) -> RewriteRule:
         rule = make_rule(self.order, self._next_id, lhs, rhs)
         self._next_id += 1
         self._register(rule)
@@ -260,16 +293,6 @@ class RewriteSystem:
         self._irreducible.add(word)
         return None
 
-    def reduce_once(self, p: NCPoly):
-        """One deterministic step, or None when `p` is in normal form."""
-        for word in sorted(p.terms, key=self.order.key, reverse=True):
-            hit = self.find_redex(word)
-            if hit is not None:
-                rule, pos = hit
-                step = ReductionStep(rule.id, pos, word)
-                return apply_step(p, step, self.rules), step
-        return None
-
     # -- normal forms --------------------------------------------------------
 
     def _neg_key(self, word: Word):
@@ -303,47 +326,13 @@ class RewriteSystem:
             rule, pos = hit
             if record:
                 steps.append(ReductionStep(rule.id, pos, word))
-            pre = word[:pos]
-            suf = word[pos + len(rule.lhs) :]
-            for w2, c2 in rule.rhs.terms.items():
-                new_word = pre + w2 + suf
-                c = coeff * c2
-                if new_word in pending:
-                    s = pending[new_word] + c
-                    if s.is_zero():
-                        del pending[new_word]
-                    else:
-                        pending[new_word] = s
-                else:
-                    pending[new_word] = c
-                    heapq.heappush(heap, (self._neg_key(new_word), new_word))
+            for new_word in substitute(pending, word, pos, rule, coeff):
+                heapq.heappush(heap, (self._neg_key(new_word), new_word))
         nf = NCPoly(self.alphabet, self.ring, finished)
         return nf, tuple(steps) if record else ()
 
     def nf(self, p: NCPoly) -> NCPoly:
         return self.normal_form(p)[0]
-
-    def normal_form_random(self, p: NCPoly, rng) -> NCPoly:
-        """Reduce with randomized word/position/rule choices.
-
-        Agrees with :meth:`normal_form` once the system is confluent at
-        the element's degree; used as a strategy-independence check.
-        """
-        while True:
-            choices = []
-            for word in p.terms:
-                for pos in range(len(word)):
-                    bucket = self._by_first.get(word[pos])
-                    if not bucket:
-                        continue
-                    for rule in bucket:
-                        size = len(rule.lhs)
-                        if pos + size <= len(word) and word[pos : pos + size] == rule.lhs:
-                            choices.append(ReductionStep(rule.id, pos, word))
-            if not choices:
-                return p
-            step = rng.choice(choices)
-            p = apply_step(p, step, self.rules)
 
     def irreducible_words(self, max_degree: int) -> list:
         """All normal-form words of degree at most `max_degree`."""
@@ -372,10 +361,10 @@ class RewriteSystem:
         states = None
         if verbose:
             states = []
-            current = p
+            terms = dict(p.terms)
             for step in steps:
-                current = apply_step(current, step, self.rules)
-                states.append(current.render())
+                step_in_place(terms, step, self.rules, self.alphabet)
+                states.append(NCPoly(self.alphabet, self.ring, terms).render())
         cert = ReductionCertificate(
             algebra=self.describe(),
             order=self.order.precedence,
@@ -431,7 +420,7 @@ class RewriteSystem:
                             "overlap", word, r1.id, 0, r2.id, len(l1) - k
                         )
                     )
-                if r1.id != r2.id and len(l2) < len(l1):
+                if len(l2) < len(l1) or (l2 == l1 and r1.id < r2.id):
                     for pos in range(len(l1) - len(l2) + 1):
                         if l1[pos : pos + len(l2)] == l2 and len(l1) <= max_degree:
                             records.append(
@@ -462,7 +451,7 @@ class RewriteSystem:
             )
         head = NCPoly.monomial(self.alphabet, self.ring, word, coeff)
         rhs = (head - diff) * monomial_inverse(coeff)
-        return self.add_rule(word, rhs)
+        return self._add_rule(word, rhs)
 
     def _interreduce(self):
         """Keep the rule set reduced: no lhs reducible by the others, every

@@ -11,7 +11,6 @@ deterministic.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import re
 import time
@@ -37,7 +36,7 @@ from .algebras import (
     verify_map,
 )
 from .braid import b3_act, verify_b3_relations
-from .certificates import certificate_to_json
+from .certificates import certificate_to_json, write_json
 from .coeffring import (
     RATIONALS,
     BaseRing,
@@ -520,13 +519,9 @@ def run_suite(
             if cert is None:
                 continue
             filename = _certificate_filename(check["name"])
-            with open(os.path.join(cert_dir, filename), "w", encoding="utf-8") as fh:
-                json.dump(certificate_to_json(cert), fh, indent=2)
-                fh.write("\n")
+            write_json(certificate_to_json(cert), os.path.join(cert_dir, filename))
             check["certificate"] = filename
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(payload, output)
         for check_result, check in zip(result.checks, payload["checks"]):
             check_result.certificate = check["certificate"]
     return result

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from daha import AlgebraPresentation, NCPoly, preset
+from daha import AlgebraPresentation, NCPoly, RewriteSystem, preset
+from daha.rewrite import substitute
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -74,3 +75,31 @@ def random_element(
             alg.alphabet, alg.ring, random_word(alg, rng, max_len), random_coeff(alg, rng)
         )
     return p
+
+
+# -- random-strategy oracle ------------------------------------------------------
+
+def normal_form_random(system: RewriteSystem, p: NCPoly, rng: random.Random) -> NCPoly:
+    """Reduce `p` by rewriting a random redex of a random word until none is left.
+
+    Agrees with ``system.nf`` once the system is confluent at the element's
+    degree, so comparing the two checks strategy independence.
+    """
+    terms = dict(p.terms)
+    candidates = list(terms)  # every reducible word of `terms` is listed here
+    while candidates:
+        i = rng.randrange(len(candidates))
+        candidates[i], candidates[-1] = candidates[-1], candidates[i]
+        word = candidates.pop()
+        if word not in terms:
+            continue
+        redexes = [
+            (rule, pos)
+            for rule in system.rules.values()
+            for pos in range(len(word) - len(rule.lhs) + 1)
+            if word[pos : pos + len(rule.lhs)] == rule.lhs
+        ]
+        if redexes:
+            rule, pos = rng.choice(redexes)
+            candidates.extend(substitute(terms, word, pos, rule, terms.pop(word)))
+    return NCPoly(p.alphabet, p.ring, terms)

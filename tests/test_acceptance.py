@@ -33,7 +33,7 @@ from daha import (
     semilinear_apply,
     verify_map,
 )
-from conftest import random_element
+from conftest import normal_form_random, random_element
 
 
 @pytest.fixture
@@ -266,7 +266,7 @@ def test_criterion_11_property_battery(criterion, udaha):
             assert zero_default == zero_flipped
             if i % 2 == 0:
                 assert zero_default
-            assert udaha.system.normal_form_random(d, rng) == udaha.nf(d)
+            assert normal_form_random(udaha.system, d, rng) == udaha.nf(d)
             assert udaha.parse(p.render()) == p  # parser round trip
 
         for _ in range(500):

@@ -89,6 +89,9 @@ def test_resolve_algebra(data_dir):
     loaded = resolve_algebra(str(data_dir / "udaha.alg"))
     assert loaded.name == "UDAHA_model"
     assert len(loaded.axioms) == 5
+    flipped = ("V1", "V0", "T1", "T0")
+    assert resolve_algebra(str(data_dir / "udaha.alg"), flipped).system.order.precedence == flipped
+    assert resolve_algebra("UDAHA_model", flipped).system.order.precedence == flipped
     with pytest.raises(UnsupportedPresetError):
         resolve_algebra("NoSuchAlgebra")
 

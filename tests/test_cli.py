@@ -76,6 +76,13 @@ def test_check_equal_error_exit(capsys):
     assert err
 
 
+def test_deep_nesting_exits_2(capsys):
+    code, out, err = run(capsys, "reduce", "(" * 2000 + "T0" + ")" * 2000)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: parentheses nested deeper than 100")
+
+
 # -- complete ----------------------------------------------------------------------
 
 def test_complete_json(capsys, tmp_path):

@@ -77,6 +77,14 @@ def test_parse_error_positions():
         parse_ast("T0^x")
 
 
+def test_nesting_depth_is_bounded():
+    assert parse_ast("(" * 100 + "T0" + ")" * 100) == Sym(100, "T0")
+    with pytest.raises(ParseError) as info:
+        parse_ast("(" * 2000 + "T0" + ")" * 2000)
+    assert info.value.pos == 100
+    assert "nested deeper than 100" in str(info.value)
+
+
 def test_round_trip_corpus():
     corpus = [
         "T0*T1 - 1",
@@ -102,6 +110,14 @@ def test_ast_to_ncpoly_matches_hand_built(udaha):
     v0t1 = udaha.gen("V0") * udaha.gen("T1")
     assert x == v0t1 + udaha.inv_element(v0t1)
     assert udaha.parse("inv(1)") == udaha.one()
+    # products fold letters and scalars but still multiply out sums in order
+    t0, t1, v0 = udaha.gen("T0"), udaha.gen("T1"), udaha.gen("V0")
+    folded = udaha.parse("2*T0*(Q + cT0)*T1*(T0 - V0)*Q^-1*inv(V0)*3/4")
+    by_hand = t0 * t1 * (t0 - v0) * udaha.inv_element(v0)
+    factor = Fraction(3, 2) * (udaha.param("Q") + udaha.param("cT0")) * udaha.param("Q", -1)
+    assert folded == by_hand.scale(factor)
+    assert udaha.parse("T0*0*T1").is_zero()
+    assert udaha.parse("(T0 - T0)*T1").is_zero()
     assert udaha.parse("1 - 1").is_zero()
 
 

@@ -22,8 +22,10 @@ from daha import (
     make_rule,
     preset,
     replay,
+    resolve_algebra,
 )
-from conftest import random_element
+from daha.rewrite import substitute
+from conftest import normal_form_random, random_element
 
 SETTINGS = {"max_examples": 40, "deadline": None}
 
@@ -78,6 +80,20 @@ def test_apply_step_rejects_mismatches(udaha):
         apply_step(p, ReductionStep(1, 0, absent), udaha.system.rules)
 
 
+def test_substitute_in_place(udaha):
+    # T0*V0*V0*T1 with V0*V0 -> cV0*V0 - 1 at position 1
+    rule = udaha.system.find_redex(udaha.alphabet.word("V0", "V0"))[0]
+    word = udaha.alphabet.word("T0", "V0", "V0", "T1")
+    terms = {udaha.alphabet.word("T0", "T1"): udaha.ring.one()}
+    new = substitute(terms, word, 1, rule, udaha.ring.scalar(2))
+    assert new == [udaha.alphabet.word("T0", "V0", "T1")]
+    assert NCPoly(udaha.alphabet, udaha.ring, terms) == udaha.parse("2*cV0*T0*V0*T1 - T0*T1")
+    # cancelling the remaining term drops it from the map
+    new = substitute(terms, word, 1, rule, udaha.ring.scalar(-1))
+    assert new == []
+    assert NCPoly(udaha.alphabet, udaha.ring, terms) == udaha.parse("cV0*T0*V0*T1")
+
+
 # -- normal forms ---------------------------------------------------------------------
 
 def test_normal_form_golden(udaha, generic):
@@ -111,7 +127,7 @@ def test_randomized_strategy_agrees(udaha):
     rng = random.Random(11)
     for _ in range(15):
         p = random_element(udaha, rng, max_terms=3, max_len=4)
-        assert udaha.system.normal_form_random(p, rng) == udaha.nf(p)
+        assert normal_form_random(udaha.system, p, rng) == udaha.nf(p)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -206,6 +222,39 @@ def test_completion_is_idempotent():
     assert alg.system.confluence_degree == 10
 
 
+def test_added_rule_voids_completion():
+    ab = Alphabet(("a", "b"))
+    ring = ParamRing(RATIONALS, [])
+    system = RewriteSystem(ab, ring)
+    one = NCPoly.monomial(ab, ring, ())
+    system.add_rule(ab.word("b", "b", "a"), NCPoly.monomial(ab, ring, ab.word("a")))
+    system.complete_to_degree(6)
+    assert system.confluence_degree == 6
+    system.add_rule(ab.word("a"), one)
+    # a = 1 = b*b now; a stale degree would answer distinct-at-degree
+    assert system.confluence_degree == 0
+    a, bb = NCPoly.monomial(ab, ring, ab.word("a")), NCPoly.monomial(ab, ring, ab.word("b", "b"))
+    with pytest.raises(InsufficientCompletionError):
+        system.check_equal(a, bb)
+    system.complete_to_degree(6)
+    assert system.check_equal(a, bb).equal
+
+
+def test_axiom_voids_completion():
+    alg = preset("CentralPair")
+    alg.complete(4)
+    alg.add_axiom(alg.alphabet.word("u"), alg.one())
+    assert alg.system.confluence_degree == 0
+
+
+def test_duplicate_lhs_are_compared(data_dir):
+    alg = resolve_algebra(str(data_dir / "duplicate_lhs.alg"))
+    kinds = [amb.kind for amb in alg.system.critical_pairs(4)]
+    assert kinds == ["inclusion"]  # one record per pair of rules, not two
+    alg.complete(4)
+    assert alg.check_equal(alg.parse("b"), alg.parse("1")).verdict == "proved-equal"
+
+
 def test_completion_detects_collapse():
     ab = Alphabet(("g",))
     ring = ParamRing(RATIONALS, [])
@@ -259,6 +308,46 @@ def test_certificate_tampering_detected(udaha):
 
     dropped = dataclasses.replace(cert, steps=cert.steps[:-1])
     assert not replay(dropped).ok
+
+
+def tamper_step(cert, index, **changes):
+    steps = list(cert.steps)
+    steps[index] = dataclasses.replace(steps[index], **changes)
+    return dataclasses.replace(cert, steps=tuple(steps))
+
+
+def test_replay_names_the_failing_step(udaha):
+    p = udaha.parse("V0*V0*T0*V1*T1 + T1*T1*V0")
+    _, cert = udaha.system.reduce_with_certificate(p, verbose=True)
+    assert len(cert.steps) >= 3
+    first, second = cert.steps[0], cert.steps[1]
+
+    unknown = tamper_step(cert, 1, rule_id=999)
+    assert replay(unknown).message == "step 2: unknown rule id 999"
+
+    # the first step's word is gone once it has been rewritten
+    absent = tamper_step(cert, 1, word=first.word, position=first.position)
+    assert replay(absent).message == (
+        f"step 2: absent word {udaha.alphabet.render_word(first.word)}"
+    )
+
+    misplaced = tamper_step(cert, 1, position=len(second.word))
+    assert replay(misplaced).message == (
+        f"step 2: rule {second.rule_id} does not match "
+        f"{udaha.alphabet.render_word(second.word)} at position {len(second.word)}"
+    )
+
+    states = list(cert.states)
+    states[2] = "0"
+    outcome = replay(dataclasses.replace(cert, states=tuple(states)))
+    assert outcome.message == "step 3: state mismatch"
+    assert not outcome.ok and outcome.steps_applied == 0
+
+    wrong_final = dataclasses.replace(cert, final_hash="0" * 16)
+    assert replay(wrong_final).message == "final hash mismatch"
+
+    wrong_text = dataclasses.replace(cert, final=cert.final + " + 1")
+    assert replay(wrong_text).message == "final element does not match its rendering"
 
 
 def test_certificate_tampered_states(udaha):

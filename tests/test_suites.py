@@ -1,5 +1,6 @@
 """Named verification suites: determinism, overrides, negative controls."""
 
+import hashlib
 import json
 
 import pytest
@@ -91,3 +92,26 @@ def test_run_suite_writes_results_and_certificates(tmp_path):
         assert replay(read_certificate(path)).ok
     named = {c.certificate for c in result.checks}
     assert named == {p.name for p in files}
+
+
+# sha256 over the `suite all` results JSON without timing fields, then each
+# certificate file's name and bytes in name order; pinned so that engine
+# changes provably leave every certificate byte unchanged
+GOLDEN_SUITE_ALL = {
+    False: "7f5d5f37f0bb46dc32d501da5f85390fb496d64de1d80af98a2cb5cb0f679991",
+    True: "fb0f21a06c8119f55e2a91786ca924b9735a5d7cc2184d21d6fec311c828d22e",
+}
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_suite_all_certificates_are_golden(tmp_path, verbose):
+    out = tmp_path / "all.json"
+    run_suite("all", degree=10, output=str(out), verbose_cert=verbose)
+    payload = strip_timing(json.loads(out.read_text()))
+    digest = hashlib.sha256(json.dumps(payload, indent=2).encode())
+    certs = sorted((tmp_path / "all-certs").glob("*.json"))
+    assert len(certs) == 135
+    for path in certs:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_SUITE_ALL[verbose]
