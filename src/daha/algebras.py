@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedPresetError,
 )
 from .exprs import PresentationSpec, load_presentation, parse_expr
-from .ncpoly import Alphabet, NCPoly, TermOrder, Word
+from .ncpoly import Alphabet, NCPoly, TermOrder, Word, add_terms
 from .rewrite import EqualityVerdict, RewriteSystem
 
 PRESET_NAMES = ("H_generic", "UDAHA_model", "CentralPair")
@@ -304,6 +304,10 @@ class SemilinearMap:
     algebra: AlgebraPresentation
     images: Mapping[str, NCPoly]
     param_map: Mapping[str, str]
+    # reduced image of each word met so far, filled by semilinear_apply
+    _word_images: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         ring = self.algebra.ring
@@ -339,19 +343,30 @@ def apply_param_map(coeff: LaurentPoly, phi: SemilinearMap) -> LaurentPoly:
 
 
 def semilinear_apply(phi: SemilinearMap, p: NCPoly) -> NCPoly:
-    """Apply the map and reduce: parameters first, then letterwise
-    substitution of generator images."""
+    """Apply the map and reduce: each coefficient goes through the
+    parameter action and multiplies the reduced image of its word.
+
+    A word's image is built from its longest prefix whose image the map
+    has stored, one letter at a time, reducing after each letter; every
+    new prefix is stored on the map.  Stored images may predate rules
+    added to the algebra since, so the sum is reduced once more."""
     algebra = phi.algebra
     if p.alphabet != algebra.alphabet or p.ring != algebra.ring:
         raise ValueError("element does not live on the map's algebra")
-    out = algebra.zero()
-    symbols = algebra.alphabet.symbols
+    memo = phi._word_images
+    letter_images = [phi.images[name] for name in algebra.alphabet.symbols]
+    out: dict = {}
     for word, coeff in p.terms.items():
-        factor = algebra.scalar(apply_param_map(coeff, phi))
-        for letter in word:
-            factor = factor * phi.images[symbols[letter]]
-        out = out + factor
-    return algebra.nf(out)
+        k = len(word)
+        while k and word[:k] not in memo:
+            k -= 1
+        image = memo[word[:k]] if k else algebra.one()
+        for j in range(k, len(word)):
+            image = algebra.nf(image * letter_images[word[j]])
+            memo[word[: j + 1]] = image
+        c = apply_param_map(coeff, phi)
+        add_terms(out, ((w, c * ic) for w, ic in image.terms.items()))
+    return algebra.nf(NCPoly(algebra.alphabet, algebra.ring, out))
 
 
 def identity_map(algebra: AlgebraPresentation) -> SemilinearMap:

@@ -7,9 +7,14 @@ the group is Z3 * Z2, whose free-product normal form is unique, and the
 a-exponent is tracked exactly through every rewrite, so two BraidWords
 are equal in the group iff they are structurally equal.
 
-The action on an algebra composes the shipped semilinear maps: a acts
-by conjugation with T1, b and c by their generator tables.  Composition
-follows group order, b3_act(u*v, p) = b3_act(u, b3_act(v, p)).
+The action on an algebra is built from the shipped semilinear maps: a
+acts by conjugation with T1, b and c by their generator tables.  It
+follows group order, b3_act(u*v, p) = b3_act(u, b3_act(v, p)), so a
+word acts by applying its syllable maps to the element one after
+another, rightmost first, then the central map.  Each syllable map
+keeps the reduced images of the words it has met, so repeated acts
+reuse them.  Composed maps are built only on request (b3_to_map) and
+for the group-relation checks.
 """
 
 from __future__ import annotations
@@ -143,7 +148,8 @@ def b3_normal_form(letters: Union[str, Iterable[str], BraidWord]) -> BraidWord:
 
 
 class BraidAction:
-    """Composed semilinear maps for braid words over one algebra,
+    """The B3 action on one algebra: `act` applies the syllable maps of a
+    normal form in sequence; `map_for` composes them into one map,
     cached per normal form."""
 
     def __init__(self, algebra: AlgebraPresentation):
@@ -164,8 +170,8 @@ class BraidAction:
         if cached is not None:
             return cached
         phi = identity_map(self.algebra)
-        for syllable in w.tail:
-            phi = compose_maps(phi, self._syllable[syllable])
+        for syllable in reversed(w.tail):
+            phi = compose_maps(self._syllable[syllable], phi)
         central = self._a if w.a_power >= 0 else self._a_inv
         for _ in range(abs(w.a_power)):
             phi = compose_maps(central, phi)
@@ -174,7 +180,15 @@ class BraidAction:
         return phi
 
     def act(self, w, p: NCPoly) -> NCPoly:
-        return semilinear_apply(self.map_for(w), p)
+        w = b3_normal_form(w)
+        if w.is_identity():
+            return semilinear_apply(self.map_for(w), p)
+        for syllable in reversed(w.tail):
+            p = semilinear_apply(self._syllable[syllable], p)
+        central = self._a if w.a_power >= 0 else self._a_inv
+        for _ in range(abs(w.a_power)):
+            p = semilinear_apply(central, p)
+        return p
 
 
 _actions: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from .coeffring import BaseRing, LaurentPoly, ParamRing, monomial_inverse
 from .errors import ParseError, PresentationError
-from .ncpoly import Alphabet, NCPoly
+from .ncpoly import Alphabet, NCPoly, add_terms
 
 _TOKEN = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/()])"
@@ -332,11 +332,11 @@ def ast_to_ncpoly(
                 head = tail if head is None else head * tail
             return head
         if isinstance(node, Sum):
-            out = NCPoly.zero(alphabet, ring)
+            out: dict = {}
             for sign, term in node.terms:
-                value = walk(term)
-                out = out + value if sign > 0 else out - value
-            return out
+                value = walk(term).terms.items()
+                add_terms(out, value if sign > 0 else ((w, -c) for w, c in value))
+            return NCPoly(alphabet, ring, out)
         raise TypeError(f"not an AST node: {node!r}")
 
     return walk(node)

@@ -121,6 +121,22 @@ def word_compare(u: Word, v: Word, order: TermOrder) -> int:
     return order.compare(u, v)
 
 
+def add_terms(terms: dict, pairs) -> None:
+    """Add the (word, coefficient) pairs into the term map `terms` in
+    place, keeping it free of zero coefficients."""
+    for w, c in pairs:
+        old = terms.get(w)
+        if old is None:
+            if not c.is_zero():
+                terms[w] = c
+        else:
+            s = old + c
+            if s.is_zero():
+                del terms[w]
+            else:
+                terms[w] = s
+
+
 class NCPoly:
     """A finite sum of words with Laurent-polynomial coefficients.
 
@@ -203,15 +219,7 @@ class NCPoly:
             return NotImplemented
         self._require_compatible(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in out:
-                s = out[w] + c
-                if s.is_zero():
-                    del out[w]
-                else:
-                    out[w] = s
-            else:
-                out[w] = c
+        add_terms(out, other.terms.items())
         return NCPoly(self.alphabet, self.ring, out)
 
     __radd__ = __add__

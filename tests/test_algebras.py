@@ -256,6 +256,24 @@ def test_semilinear_apply_acts_on_coefficients(udaha):
     assert lhs == udaha.nf(B.image("T0") * B.image("V1"))
 
 
+def test_semilinear_apply_cold_and_warm_memo(udaha):
+    p = udaha.parse("cT0*V0*T1*T0 + Q*T1*V1 - cV1*T0*V0*T1 + 2")
+    # reference: multiply the unreduced images of the letters, reduce once
+    expected = udaha.zero()
+    B = braid_b_map(udaha)
+    for word, coeff in p.terms.items():
+        factor = udaha.scalar(apply_param_map(coeff, B))
+        for letter in word:
+            factor = factor * B.image(udaha.alphabet.symbols[letter])
+        expected = expected + factor
+    expected = udaha.nf(expected)
+    assert semilinear_apply(B, p).terms == expected.terms  # cold
+    assert semilinear_apply(B, p).terms == expected.terms  # warm
+    B = braid_b_map(udaha)
+    semilinear_apply(B, udaha.parse("V0*T1 + T0"))  # stores some prefixes only
+    assert semilinear_apply(B, p).terms == expected.terms
+
+
 def test_identity_and_composition_laws(udaha):
     fc = four_cycle(udaha)
     ident = identity_map(udaha)

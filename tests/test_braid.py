@@ -11,7 +11,16 @@ import random
 
 import pytest
 
-from daha import BraidWord, b3_act, b3_normal_form, b3_to_map, verify_b3_relations
+from daha import (
+    BraidWord,
+    b3_act,
+    b3_normal_form,
+    b3_to_map,
+    build_xyz,
+    preset,
+    semilinear_apply,
+    verify_b3_relations,
+)
 
 I2 = ((1, 0), (0, 1))
 NEG_I2 = ((-1, 0), (0, -1))
@@ -157,6 +166,41 @@ def test_action_is_compatible_with_products(udaha):
         left = b3_act(uv, p, udaha)
         right = b3_act(b3_normal_form(u), b3_act(b3_normal_form(v), p, udaha), udaha)
         assert udaha.nf(left - right).is_zero()
+
+
+def normal_forms(max_syllables):
+    """Every B3 normal form with 1..max_syllables tail syllables and
+    a-power -1, 0 or 1."""
+    tails, grown = [], [()]
+    for _ in range(max_syllables):
+        grown = [t + (s,) for t in grown for s in ("b", "bb", "c") if not t or t[-1][0] != s[0]]
+        tails += grown
+    return [BraidWord(m, tail) for tail in tails for m in (-1, 0, 1)]
+
+
+def test_sequential_action_matches_composed_map(udaha):
+    # b sends cT0 -> cV0 -> cV1, so the second element pins the order in
+    # which parameter actions and substitutions are applied
+    elements = (build_xyz(udaha).x, udaha.parse("cV0*V0*T1 + cT0*Q^-1*T0*V1 + cV1"))
+    words = normal_forms(3)
+    assert len(words) == 39
+    for w in words:
+        phi = b3_to_map(w, udaha)
+        for p in elements:
+            assert b3_act(w, p, udaha).terms == semilinear_apply(phi, p).terms, str(w)
+
+
+def test_action_is_not_stale_after_completion():
+    early = preset("UDAHA_model")
+    x = build_xyz(early).x
+    before = b3_act("bcb", x, early)
+    early.complete(10)
+    after = b3_act("bcb", x, early)
+    fresh = preset("UDAHA_model")
+    fresh.complete(10)
+    expected = b3_act("bcb", build_xyz(fresh).x, fresh)
+    assert after.terms == expected.terms
+    assert before.terms != after.terms  # completion did change the normal form
 
 
 def test_action_respects_multiplication(udaha):
