@@ -5,6 +5,15 @@ cyclotomic quotients for root-of-unity specializations, and sparse
 multivariate Laurent polynomials in named central parameters.  Every
 operation is exact; nothing in this package touches floating point.
 
+Scalars carry their own arithmetic, so :class:`LaurentPoly` runs one
+loop of Python operators for every base ring.  A rational scalar is an
+`int` when it is whole and a `Fraction` otherwise: only real division
+(`BaseRing.inv`, `monomial_inverse`, `divide_exact`, a parsed `a/b`)
+makes a `Fraction`, and a whole `Fraction` left behind by arithmetic
+compares, hashes and renders like its `int`.  A cyclotomic scalar is a
+:class:`Cyclo`, a tuple of such rationals whose operators are those of
+the quotient ring.
+
 A :class:`ParamRing` fixes a base ring together with an ordered list of
 parameter symbols, each flagged invertible or plain.  Negative exponents
 are only ever carried by invertible symbols, so ring elements stay
@@ -14,7 +23,9 @@ honest Laurent polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+import operator
+from operator import add, neg, sub
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     ExactDivisionError,
@@ -27,19 +38,59 @@ from .errors import (
 _CYCLO_DEGREE = {1: 1, 2: 1, 4: 2}
 
 #: residue of the distinguished generator s in the degree-one quotients
-_CYCLO_S_VALUE = {1: Fraction(1), 2: Fraction(-1)}
+_CYCLO_S_VALUE = {1: 1, 2: -1}
 
-Scalar = Union[Fraction, tuple]
+
+def _rational(q) -> Union[int, Fraction]:
+    """`q` as an exact rational scalar: an `int` when whole, else a `Fraction`."""
+    if type(q) is not int:
+        q = Fraction(q)
+        if q.denominator == 1:
+            return q.numerator
+    return q
+
+
+class Cyclo(tuple):
+    """An element of Q[s] modulo a cyclotomic polynomial: the rational
+    coefficients of 1, s, ... below its degree, with the quotient's
+    `+`, `-` and `*` (s^2 = -1 at length 2).  Equal to the plain tuple."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Cyclo(map(add, self, other))
+
+    def __sub__(self, other):
+        return Cyclo(map(sub, self, other))
+
+    def __neg__(self):
+        return Cyclo(map(neg, self))
+
+    def __mul__(self, other):
+        if len(self) == 1:
+            return Cyclo((self[0] * other[0],))
+        (a0, a1), (b0, b1) = self, other
+        return Cyclo((a0 * b0 - a1 * b1, a0 * b1 + a1 * b0))
+
+    __rmul__ = __mul__  # never tuple repetition
+
+    def __bool__(self):
+        return any(self)
+
+
+Scalar = Union[int, Fraction, Cyclo]
 
 
 class BaseRing:
     """The rationals, or Q[s] modulo the n-th cyclotomic polynomial.
 
     Only n in {1, 2, 4} is supported; all three quotients are fields.
-    Rational elements are `Fraction`; cyclotomic elements are tuples of
-    `Fraction` listing coefficients of 1, s, ... below the degree of the
-    minimal polynomial (length 1 for n in {1, 2}, length 2 for n = 4,
-    where s^2 = -1).
+    Rational elements are `int` when whole and `Fraction` otherwise;
+    cyclotomic elements are :class:`Cyclo` tuples of such rationals,
+    listing coefficients of 1, s, ... below the degree of the minimal
+    polynomial (length 1 for n in {1, 2}, length 2 for n = 4, where
+    s^2 = -1).  Elements do their own arithmetic; the methods below wrap
+    those operators, and `kind` is read only off the arithmetic path.
     """
 
     __slots__ = ("kind", "n")
@@ -75,9 +126,7 @@ class BaseRing:
         return hash((self.kind, self.n))
 
     def __repr__(self):
-        if self.kind == "rationals":
-            return "BaseRing(rationals)"
-        return f"BaseRing(cyclotomic({self.n}))"
+        return f"BaseRing({self.describe()})"
 
     def describe(self) -> str:
         return "rationals" if self.kind == "rationals" else f"cyclotomic({self.n})"
@@ -94,69 +143,51 @@ class BaseRing:
     # -- elements ---------------------------------------------------------
 
     def zero(self) -> Scalar:
-        if self.kind == "rationals":
-            return Fraction(0)
-        return (Fraction(0),) * _CYCLO_DEGREE[self.n]
+        return self.from_fraction(0)
 
     def one(self) -> Scalar:
-        return self.from_fraction(Fraction(1))
+        return self.from_fraction(1)
 
     def from_fraction(self, q) -> Scalar:
-        q = Fraction(q)
+        q = _rational(q)
         if self.kind == "rationals":
             return q
-        if _CYCLO_DEGREE[self.n] == 1:
-            return (q,)
-        return (q, Fraction(0))
+        return Cyclo((q,) + (0,) * (_CYCLO_DEGREE[self.n] - 1))
+
+    def element(self, value) -> Scalar:
+        """An int, Fraction or coefficient tuple as an element of this ring."""
+        if isinstance(value, tuple):
+            return Cyclo(map(_rational, value))
+        return self.from_fraction(value)
 
     def generator(self) -> Scalar:
         """The residue of s.  Undefined over the plain rationals."""
         if self.kind == "rationals":
             raise ValueError("the rationals have no distinguished generator")
         if self.n in _CYCLO_S_VALUE:
-            return (_CYCLO_S_VALUE[self.n],)
-        return (Fraction(0), Fraction(1))
+            return Cyclo((_CYCLO_S_VALUE[self.n],))
+        return Cyclo((0, 1))
 
-    def is_zero(self, a: Scalar) -> bool:
-        if self.kind == "rationals":
-            return a == 0
-        return all(c == 0 for c in a)
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.kind == "rationals":
-            return a + b
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a: Scalar) -> Scalar:
-        if self.kind == "rationals":
-            return -a
-        return tuple(-x for x in a)
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.kind == "rationals":
-            return a * b
-        if _CYCLO_DEGREE[self.n] == 1:
-            return (a[0] * b[0],)
-        # (a0 + a1 s)(b0 + b1 s) with s^2 = -1
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    is_zero = staticmethod(operator.not_)
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
 
     def inv(self, a: Scalar) -> Scalar:
-        if self.is_zero(a):
+        if not a:
             raise NotAUnitError("zero is not invertible")
         if self.kind == "rationals":
-            return 1 / a
-        if _CYCLO_DEGREE[self.n] == 1:
-            return (1 / a[0],)
+            return _rational(Fraction(1, a))
+        if len(a) == 1:
+            return Cyclo((_rational(Fraction(1, a[0])),))
         norm = a[0] * a[0] + a[1] * a[1]
-        return (a[0] / norm, -a[1] / norm)
+        return Cyclo(_rational(Fraction(x, norm)) for x in (a[0], -a[1]))
 
     def coerce(self, source: "BaseRing", a: Scalar) -> Scalar:
         """Map an element of `source` into this ring, if there is a
         canonical embedding (identity, or rationals into a quotient)."""
-        if source == self:
+        if source is self or source == self:
             return a
         if source.kind == "rationals":
             return self.from_fraction(a)
@@ -171,13 +202,9 @@ class BaseRing:
         be pulled out of a rendered term (mixed a + b*s elements are not)."""
         if self.kind == "rationals":
             return a < 0
-        if _CYCLO_DEGREE[self.n] == 1:
+        if len(a) == 1 or a[1] == 0:
             return a[0] < 0
-        if a[1] == 0:
-            return a[0] < 0
-        if a[0] == 0:
-            return a[1] < 0
-        return False
+        return a[0] == 0 and a[1] < 0
 
     def render(self, a: Scalar, as_factor: bool = False) -> str:
         """Canonical text form.  With `as_factor` the result is safe to
@@ -270,12 +297,10 @@ class ParamRing:
 
     def scalar(self, value) -> "LaurentPoly":
         """Lift a base element (or int / Fraction) to a constant."""
-        if isinstance(value, (int, Fraction)):
-            value = self.base.from_fraction(Fraction(value))
-        if self.base.is_zero(value):
+        value = self.base.element(value)
+        if not value:
             return LaurentPoly(self, {})
-        exps = (0,) * len(self.params)
-        return LaurentPoly(self, {exps: value})
+        return LaurentPoly(self, {(0,) * len(self.params): value})
 
     def param(self, name: str, power: int = 1) -> "LaurentPoly":
         i = self.index(name)
@@ -289,9 +314,8 @@ class ParamRing:
         for exps, coeff in terms.items():
             exps = tuple(exps)
             self._check_exponents(exps)
-            if isinstance(coeff, (int, Fraction)):
-                coeff = self.base.from_fraction(Fraction(coeff))
-            if not self.base.is_zero(coeff):
+            coeff = self.base.element(coeff)
+            if coeff:
                 out[exps] = coeff
         return LaurentPoly(self, out)
 
@@ -338,7 +362,7 @@ class LaurentPoly:
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise IncompatibleRingError(
                     f"mixed coefficient rings: {self.ring!r} vs {other.ring!r}"
                 )
@@ -351,26 +375,21 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        base = self.ring.base
         out = dict(self.terms)
+        get = out.get
         for exps, c in other.terms.items():
-            if exps in out:
-                s = base.add(out[exps], c)
-                if base.is_zero(s):
-                    del out[exps]
-                else:
-                    out[exps] = s
+            old = get(exps)
+            s = c if old is None else old + c
+            if s:
+                out[exps] = s
             else:
-                out[exps] = c
+                del out[exps]
         return LaurentPoly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        base = self.ring.base
-        return LaurentPoly(
-            self.ring, {exps: base.neg(c) for exps, c in self.terms.items()}
-        )
+        return LaurentPoly(self.ring, {exps: -c for exps, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -388,20 +407,19 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        base = self.ring.base
         out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = base.mul(c1, c2)
-                if exps in out:
-                    s = base.add(out[exps], c)
-                    if base.is_zero(s):
-                        del out[exps]
-                    else:
-                        out[exps] = s
-                elif not base.is_zero(c):
-                    out[exps] = c
+            for e2, c2 in right:
+                exps = tuple(map(add, e1, e2))
+                c = c1 * c2  # nonzero: the base rings are fields
+                old = get(exps)
+                s = c if old is None else old + c
+                if s:
+                    out[exps] = s
+                else:
+                    del out[exps]
         return LaurentPoly(self.ring, out)
 
     __rmul__ = __mul__
@@ -427,7 +445,8 @@ class LaurentPoly:
             other = self.ring.scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        same_ring = self.ring is other.ring or self.ring == other.ring
+        return same_ring and self.terms == other.terms
 
     __hash__ = None  # mutable dict payload; never used as a mapping key
 
@@ -447,7 +466,7 @@ class LaurentPoly:
             c = self.terms[exps]
             negative = base.is_negative(c)
             if negative:
-                c = base.neg(c)
+                c = -c
             syms = []
             for i, e in enumerate(exps):
                 if e == 0:
@@ -488,9 +507,7 @@ def monomial_inverse(p: LaurentPoly) -> LaurentPoly:
             raise NotAUnitError(
                 f"symbol {p.ring.params[i]!r} is not invertible"
             )
-    return LaurentPoly(
-        p.ring, {tuple(-e for e in exps): p.ring.base.inv(c)}
-    )
+    return LaurentPoly(p.ring, {tuple(map(neg, exps)): p.ring.base.inv(c)})
 
 
 def specialize(
@@ -508,7 +525,7 @@ def specialize(
     inverses: dict[str, LaurentPoly] = {}
     for name, value in assignment.items():
         i = source.index(name)
-        if value.ring != target:
+        if value.ring is not target and value.ring != target:
             raise IncompatibleRingError(
                 f"assigned value for {name!r} lives in the wrong ring"
             )
@@ -531,10 +548,9 @@ def specialize(
         retained[name] = j
 
     result = target.zero()
-    width = len(target.params)
     for exps, c in p.terms.items():
         term = target.scalar(target.base.coerce(source.base, c))
-        mono = [0] * width
+        mono = [0] * len(target.params)
         for i, e in enumerate(exps):
             if e == 0:
                 continue
@@ -545,9 +561,7 @@ def specialize(
             else:
                 mono[retained[name]] += e
         if any(mono):
-            term = term * LaurentPoly(
-                target, {tuple(mono): target.base.one()}
-            )
+            term = term * LaurentPoly(target, {tuple(mono): target.base.one()})
         result = result + term
     return result
 
@@ -559,62 +573,45 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     Exponents are shifted to be nonnegative, then ordinary sparse
     multivariate division by the single divisor runs under graded-lex.
     """
-    if p.ring != d.ring:
+    if p.ring is not d.ring and p.ring != d.ring:
         raise IncompatibleRingError("division across different rings")
     if d.is_zero():
         raise ExactDivisionError("division by zero")
     ring = p.ring
-    base = ring.base
-    if p.is_zero():
-        return ring.zero()
-    width = len(ring.params)
-
-    def shift_of(poly):
-        # full per-coordinate minimum, so the shifted poly has a zero
-        # exponent in every coordinate; monomial shifts are units in the
-        # Laurent ring, hence exactness is unaffected
-        mins = None
-        for exps in poly.terms:
-            if mins is None:
-                mins = list(exps)
-            else:
-                for i, e in enumerate(exps):
-                    if e < mins[i]:
-                        mins[i] = e
-        return tuple(mins)
-
-    sp, sd = shift_of(p), shift_of(d)
-    num = {tuple(e - s for e, s in zip(exps, sp)): c for exps, c in p.terms.items()}
-    den = {tuple(e - s for e, s in zip(exps, sd)): c for exps, c in d.terms.items()}
+    # full per-coordinate minimum, so the shifted poly has a zero exponent
+    # in every coordinate; monomial shifts are units in the Laurent ring,
+    # hence exactness is unaffected
+    sp = tuple(map(min, zip(*p.terms)))
+    sd = tuple(map(min, zip(*d.terms)))
+    rem = {tuple(map(sub, exps, sp)): c for exps, c in p.terms.items()}
+    den = {tuple(map(sub, exps, sd)): c for exps, c in d.terms.items()}
 
     def grlex(e):
         return (sum(e), e)
 
     lead = max(den, key=grlex)
-    lead_inv = base.inv(den[lead])
+    lead_inv = ring.base.inv(den[lead])
     quotient: dict[tuple[int, ...], Scalar] = {}
-    rem = dict(num)
     while rem:
         e = max(rem, key=grlex)
-        if any(ei < li for ei, li in zip(e, lead)):
+        qe = tuple(map(sub, e, lead))
+        if min(qe, default=0) < 0:
             raise ExactDivisionError("remainder is nonzero")
-        qe = tuple(ei - li for ei, li in zip(e, lead))
-        qc = base.mul(rem[e], lead_inv)
+        qc = rem[e] * lead_inv
         quotient[qe] = qc
         for de, dc in den.items():
-            key = tuple(a + b for a, b in zip(qe, de))
-            s = base.sub(rem.get(key, base.zero()), base.mul(qc, dc))
-            if base.is_zero(s):
-                rem.pop(key, None)
-            else:
+            key = tuple(map(add, qe, de))
+            c = qc * dc
+            old = rem.get(key)
+            s = -c if old is None else old - c
+            if s:
                 rem[key] = s
-    unshift = tuple(a - b for a, b in zip(sp, sd))
+            else:
+                del rem[key]
+    unshift = tuple(map(sub, sp, sd))
     try:
         return ring.poly(
-            {
-                tuple(e + u for e, u in zip(exps, unshift)): c
-                for exps, c in quotient.items()
-            }
+            {tuple(map(add, exps, unshift)): c for exps, c in quotient.items()}
         )
     except NotAUnitError:
         # exact in the Laurent extension but not in this ring
@@ -625,6 +622,6 @@ def ring_union(*polys: LaurentPoly) -> ParamRing:
     """Assert all operands share one ring and return it."""
     ring = polys[0].ring
     for q in polys[1:]:
-        if q.ring != ring:
+        if q.ring is not ring and q.ring != ring:
             raise IncompatibleRingError("operands live over different rings")
     return ring

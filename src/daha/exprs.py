@@ -102,6 +102,10 @@ class Sum(Node):
 #: deepest parenthesis nesting accepted, well inside Python's recursion limit
 MAX_NESTING = 100
 
+#: largest product of two factors' term counts that evaluation multiplies out;
+#: about ten times that of x*y*z*x*y*z*x written out in x, y and z
+MAX_TERMS = 250_000
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -276,6 +280,11 @@ def ast_to_ncpoly(
     def scalar(coeff) -> NCPoly:
         return NCPoly.monomial(alphabet, ring, (), coeff)
 
+    def product(left: NCPoly, right: NCPoly, pos: int) -> NCPoly:
+        if len(left.terms) * len(right.terms) > MAX_TERMS:
+            raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
+        return left * right
+
     def resolve(name: str, pos: int) -> NCPoly:
         if name in alphabet.symbols:
             return NCPoly.monomial(alphabet, ring, (alphabet.index(name),))
@@ -303,7 +312,10 @@ def ast_to_ncpoly(
             base, exponent = walk(node.base), node.exponent
             if exponent >= 0:
                 if len(base.terms) != 1:
-                    return base ** exponent
+                    power = scalar(ring.one())
+                    for _ in range(exponent):
+                        power = product(power, base, node.pos)
+                    return power
                 ((w, c),) = base.terms.items()
                 return NCPoly.monomial(alphabet, ring, w * exponent, c ** exponent)
             if set(base.support()) != {()} or not base.terms[()].is_unit():
@@ -324,12 +336,13 @@ def ast_to_ncpoly(
                     coeff = coeff * c
                     continue
                 if word or not coeff.is_one():
-                    value = NCPoly.monomial(alphabet, ring, word, coeff) * value
+                    prefix = NCPoly.monomial(alphabet, ring, word, coeff)
+                    value = product(prefix, value, factor.pos)
                     word, coeff = [], ring.one()
-                head = value if head is None else head * value
+                head = value if head is None else product(head, value, factor.pos)
             if head is None or word or not coeff.is_one():
                 tail = NCPoly.monomial(alphabet, ring, word, coeff)
-                head = tail if head is None else head * tail
+                head = tail if head is None else product(head, tail, node.pos)
             return head
         if isinstance(node, Sum):
             out: dict = {}

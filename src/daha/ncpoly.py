@@ -124,17 +124,18 @@ def word_compare(u: Word, v: Word, order: TermOrder) -> int:
 def add_terms(terms: dict, pairs) -> None:
     """Add the (word, coefficient) pairs into the term map `terms` in
     place, keeping it free of zero coefficients."""
+    get = terms.get
     for w, c in pairs:
-        old = terms.get(w)
+        old = get(w)
         if old is None:
-            if not c.is_zero():
+            if c:
                 terms[w] = c
         else:
             s = old + c
-            if s.is_zero():
-                del terms[w]
-            else:
+            if s:
                 terms[w] = s
+            else:
+                del terms[w]
 
 
 class NCPoly:
@@ -205,9 +206,9 @@ class NCPoly:
         return w, self.terms[w]
 
     def _require_compatible(self, other: "NCPoly"):
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetMismatchError("operands use different alphabets")
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise IncompatibleRingError("operands use different coefficient rings")
 
     # -- arithmetic ------------------------------------------------------------
@@ -239,7 +240,7 @@ class NCPoly:
 
     def _scalar(self, value) -> LaurentPoly:
         if isinstance(value, LaurentPoly):
-            if value.ring != self.ring:
+            if value.ring is not self.ring and value.ring != self.ring:
                 raise IncompatibleRingError("scalar lives over a different ring")
             return value
         return self.ring.scalar(value)

@@ -161,10 +161,10 @@ def substitute(terms: dict, word: Word, pos: int, rule: RewriteRule, coeff) -> l
             inserted.append(new_word)
         else:
             s = old + c
-            if s.is_zero():
-                del terms[new_word]
-            else:
+            if s:
                 terms[new_word] = s
+            else:
+                del terms[new_word]
     return inserted
 
 
@@ -437,17 +437,25 @@ class RewriteSystem:
         right = apply_step(start, ReductionStep(amb.rule2, amb.pos2, amb.word), self.rules)
         return left - right
 
-    def _orient(self, diff: NCPoly) -> RewriteRule:
-        """Turn a fully reduced nonzero relation into a rule."""
+    def _orient(self, diff: NCPoly, amb: AmbiguityRecord | None = None) -> RewriteRule:
+        """Turn a fully reduced nonzero relation into a rule; `amb` is the
+        ambiguity it came from, named when the relation cannot be oriented."""
         word, coeff = diff.leading_term(self.order)
+        source = ""
+        if amb is not None:
+            source = (
+                f"; it comes from the {amb.kind} ambiguity of rules {amb.rule1} "
+                f"and {amb.rule2} on {self.alphabet.render_word(amb.word)}"
+            )
         if not word:
             raise OrientationError(
-                "a nonzero scalar lies in the ideal; the presentation collapses"
+                f"a nonzero scalar {diff.render()} lies in the ideal; "
+                f"the presentation collapses{source}"
             )
         if not coeff.is_unit():
             raise OrientationError(
-                f"leading coefficient {coeff.render()} of a derived relation "
-                "is not a unit; cannot orient"
+                f"leading coefficient {coeff.render()} of the derived relation "
+                f"{diff.render()} = 0 is not a unit; cannot orient{source}"
             )
         head = NCPoly.monomial(self.alphabet, self.ring, word, coeff)
         rhs = (head - diff) * monomial_inverse(coeff)
@@ -511,12 +519,12 @@ class RewriteSystem:
                     item[1].rule2,
                 )
             )
-            for diff, _ in unresolved:
+            for diff, amb in unresolved:
                 # earlier orientations in this sweep may already resolve it
                 diff = self.nf(diff)
                 if not diff:
                     continue
-                self._orient(diff)
+                self._orient(diff, amb)
                 added += 1
                 self._interreduce()
         self.confluence_degree = max(self.confluence_degree, degree)

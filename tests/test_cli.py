@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from daha import read_certificate, replay
+from daha import exprs, read_certificate, replay
 from daha.cli import main
 
 
@@ -81,6 +81,14 @@ def test_deep_nesting_exits_2(capsys):
     assert code == 2
     assert not out
     assert err.startswith("error: parentheses nested deeper than 100")
+
+
+def test_expansion_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(exprs, "MAX_TERMS", 1000)
+    code, out, err = run(capsys, "reduce", "(T0+T1+V0+V1)^12")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: expansion exceeds 1000 terms")
 
 
 # -- complete ----------------------------------------------------------------------

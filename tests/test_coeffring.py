@@ -17,10 +17,13 @@ from daha import (
     ParamRing,
     UnitViolationError,
     divide_exact,
+    NCPoly,
     monomial_inverse,
+    preset,
     ring_union,
     specialize,
 )
+from daha.coeffring import Cyclo
 
 UR = ParamRing(
     RATIONALS,
@@ -312,3 +315,112 @@ def test_ring_union():
     other = ParamRing(RATIONALS, [("Q", True)])
     with pytest.raises(IncompatibleRingError):
         ring_union(q, other.param("Q"))
+
+
+# -- int-first scalars ------------------------------------------------------------
+
+def rationals_in(value):
+    """Every rational stored in a scalar, LaurentPoly or NCPoly, read off
+    the term maps (cyclotomic scalars unpacked)."""
+    if isinstance(value, (NCPoly, LaurentPoly)):
+        for c in value.terms.values():
+            yield from rationals_in(c)
+    elif isinstance(value, tuple):
+        for x in value:
+            yield from rationals_in(x)
+    else:
+        yield value
+
+
+def exact_types(value) -> list:
+    types = [type(x) for x in rationals_in(value)]
+    assert set(types) <= {int, Fraction}, types  # never a float
+    return types
+
+
+def test_division_makes_fractions_and_nothing_else():
+    q = UR.param("Q")
+    cyc = BaseRing.cyclotomic(4)
+    s = cyc.generator()
+
+    assert RATIONALS.inv(4) == Fraction(1, 4) and exact_types(RATIONALS.inv(4)) == [Fraction]
+    assert RATIONALS.inv(Fraction(-1, 3)) == -3
+    assert exact_types(RATIONALS.inv(Fraction(-1, 3))) == [int]
+    assert cyc.inv(cyc.from_fraction(2)) == (Fraction(1, 2), 0)
+    assert exact_types(cyc.inv(cyc.from_fraction(2))) == [Fraction, int]
+    assert cyc.inv(s) == (0, -1) and exact_types(cyc.inv(s)) == [int, int]
+    assert cyc.inv(cyc.add(cyc.one(), s)) == (Fraction(1, 2), Fraction(-1, 2))
+    assert exact_types(cyc.inv(cyc.add(cyc.one(), s))) == [Fraction, Fraction]
+
+    inverse = monomial_inverse(2 * q)
+    assert inverse.terms == {(0, 0, 0, 0, -1): Fraction(1, 2)}
+    assert exact_types(inverse) == [Fraction]
+
+    udaha = preset("UDAHA_model")
+    parsed = udaha.parse("(2*Q)^-1")
+    assert parsed.terms[()].terms == {(0, 0, 0, 0, -1): Fraction(1, 2)}
+    assert exact_types(parsed) == [Fraction]
+
+    # a non-unit integer leading coefficient: the quotient is whole again
+    factor = 2 * q + 4
+    quotient = divide_exact((3 * q - 1) * factor, factor)
+    assert quotient == 3 * q - 1
+    assert exact_types(quotient) == [int, int]
+    assert exact_types(divide_exact(q + 1, 2 * q + 2)) == [Fraction]
+
+    src = ParamRing(RATIONALS, [("q", True)])
+    target = ParamRing(cyc, [])
+    image = specialize(2 * src.param("q") + Fraction(1, 2), {"q": target.scalar(s)}, target)
+    assert image.terms == {(): (Fraction(1, 2), 2)}
+    assert exact_types(image) == [Fraction, int]
+
+    half, two = udaha.parse("1/2"), udaha.parse("4/2")
+    assert half.terms[()].terms == {(0,) * 5: Fraction(1, 2)}
+    assert exact_types(half) == [Fraction]
+    assert two.terms[()].terms == {(0,) * 5: 2}
+    assert exact_types(two) == [int]
+
+
+UDAHA_RING = preset("UDAHA_model").ring
+rational_values = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+)
+
+
+def all_fraction(p: LaurentPoly) -> LaurentPoly:
+    """`p` with every rational of every coefficient stored as a Fraction."""
+    def convert(c):
+        return Cyclo(map(Fraction, c)) if isinstance(c, tuple) else Fraction(c)
+
+    return LaurentPoly(p.ring, {e: convert(c) for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("n", [None, 1, 2, 4], ids=["rationals", "cyc1", "cyc2", "cyc4"])
+def test_int_first_matches_all_fraction(n):
+    base = RATIONALS if n is None else BaseRing.cyclotomic(n)
+    ring = ParamRing(base, list(zip(UDAHA_RING.params, UDAHA_RING.invertible)))
+    width = len(ring.params)
+    scalars = rational_values if n is None else st.tuples(*[rational_values] * len(base.one()))
+    exponents = st.tuples(*(st.integers(-3 if inv else 0, 3) for inv in ring.invertible))
+    polys = st.dictionaries(exponents, scalars, max_size=4).map(ring.poly)
+    units = st.builds(
+        lambda c, k: ring.poly({(0,) * (width - 1) + (k,): c}),
+        scalars.filter(lambda c: base.element(c)),
+        st.integers(-3, 3),
+    )
+
+    @given(polys, polys, units, st.integers(-2, 3), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def agree(a, b, u, k, m):
+        A, B, U = all_fraction(a), all_fraction(b), all_fraction(u)
+        pairs = [(a, A), (a + b, A + B), (a - b, A - B), (a * b, A * B),
+                 (-a, -A), (a ** m, A ** m), (u ** k, U ** k)]
+        if b:
+            pairs.append((divide_exact(a * b, b), divide_exact(A * B, B)))
+            assert pairs[-1][0] == a
+        for got, want in pairs:
+            assert got.terms == want.terms
+            assert got.render() == want.render()
+            exact_types(got)
+
+    agree()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from daha import exprs
 from daha import (
     RATIONALS,
     Alphabet,
@@ -83,6 +84,21 @@ def test_nesting_depth_is_bounded():
         parse_ast("(" * 2000 + "T0" + ")" * 2000)
     assert info.value.pos == 100
     assert "nested deeper than 100" in str(info.value)
+
+
+def test_expansion_is_bounded(monkeypatch):
+    monkeypatch.setattr(exprs, "MAX_TERMS", 16)
+    # 4 x 4 = 16 term pairs are allowed; the next product would need 64
+    assert len(parse_expr("(T0+T1+V0+V1)^2", AB, UR).terms) == 16
+    with pytest.raises(ParseError) as info:
+        parse_expr("(T0+T1+V0+V1)^12", AB, UR)
+    assert "expansion exceeds 16 terms" in str(info.value)
+    assert info.value.pos == 1  # the base inside the parentheses
+    # the same budget holds for products, with letters folded in for free
+    assert len(parse_expr("T0*(T0+T1)*(V0+V1)*V1*(T0+V1)*(T1+V0)", AB, UR).terms) == 16
+    with pytest.raises(ParseError) as info:
+        parse_expr("(T0+T1)*(V0+V1)*(T0+V1)*(T1+V0)*(T0+T1)", AB, UR)
+    assert info.value.pos == 33
 
 
 def test_round_trip_corpus():

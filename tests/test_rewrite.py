@@ -247,6 +247,17 @@ def test_axiom_voids_completion():
     assert alg.system.confluence_degree == 0
 
 
+def test_orientation_error_names_its_source():
+    alg = preset("CentralPair")
+    alg.add_axiom(alg.alphabet.word("v", "u", "v"), alg.parse("u*v*u"))
+    with pytest.raises(OrientationError) as info:
+        alg.complete(6)
+    message = str(info.value)
+    assert "leading coefficient -cu + cv" in message
+    assert "derived relation (-cu + cv)*v*u + (cu - cv)*u*v = 0" in message
+    assert "overlap ambiguity of rules 3 and 3 on v*u*v*u*v" in message
+
+
 def test_duplicate_lhs_are_compared(data_dir):
     alg = resolve_algebra(str(data_dir / "duplicate_lhs.alg"))
     kinds = [amb.kind for amb in alg.system.critical_pairs(4)]
