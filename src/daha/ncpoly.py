@@ -325,6 +325,8 @@ class NCPoly:
             elif coeff_txt == "1":
                 body = self.alphabet.render_word(w)
             else:
+                if " " in coeff_txt and coeff_txt[0] != "(":
+                    coeff_txt = f"({coeff_txt})"  # a lone mixed constant like 1 + s
                 body = coeff_txt + "*" + self.alphabet.render_word(w)
             pieces.append(("-" if negative else "+", body))
         sign, body = pieces[0]

@@ -91,6 +91,20 @@ def test_expansion_budget_exits_2(capsys, monkeypatch):
     assert err.startswith("error: expansion exceeds 1000 terms")
 
 
+def test_huge_power_exits_2(capsys):
+    code, out, err = run(capsys, "reduce", "2^20000*T0")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: power exceeds 4300 digits")
+
+
+def test_huge_literal_exits_2(capsys):
+    code, out, err = run(capsys, "reduce", "7" * 5000 + "*T0")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: integer literal longer than 4300 digits")
+
+
 # -- complete ----------------------------------------------------------------------
 
 def test_complete_json(capsys, tmp_path):

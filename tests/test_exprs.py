@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daha import exprs
 from daha import (
     RATIONALS,
     Alphabet,
     BaseRing,
+    NCPoly,
     Num,
     ParamRing,
     ParseError,
@@ -20,6 +23,7 @@ from daha import (
     load_presentation,
     parse_ast,
     parse_expr,
+    preset,
     render_ast,
 )
 
@@ -93,12 +97,73 @@ def test_expansion_is_bounded(monkeypatch):
     with pytest.raises(ParseError) as info:
         parse_expr("(T0+T1+V0+V1)^12", AB, UR)
     assert "expansion exceeds 16 terms" in str(info.value)
-    assert info.value.pos == 1  # the base inside the parentheses
+    assert info.value.pos == 13  # the caret of the refused power
     # the same budget holds for products, with letters folded in for free
     assert len(parse_expr("T0*(T0+T1)*(V0+V1)*V1*(T0+V1)*(T1+V0)", AB, UR).terms) == 16
     with pytest.raises(ParseError) as info:
         parse_expr("(T0+T1)*(V0+V1)*(T0+V1)*(T1+V0)*(T0+T1)", AB, UR)
     assert info.value.pos == 33
+
+
+def test_sum_is_bounded(monkeypatch):
+    monkeypatch.setattr(exprs, "MAX_TERMS", 16)
+    product = "(T0+T1)*(V0+V1)*(T0+V1)*(T1+V0)"
+    assert len(parse_expr(product, AB, UR).terms) == 16
+    # two products at the limit whose sum has 32 terms
+    with pytest.raises(ParseError) as info:
+        parse_expr(product + " + (V0+V1)*(T0+T1)*(T0+V1)*(T1+V0)", AB, UR)
+    assert "expansion exceeds 16 terms" in str(info.value)
+    assert info.value.pos == 34  # the summand that passes the budget
+    assert parse_expr(product + " - " + product, AB, UR).is_zero()
+
+
+def test_degree_is_bounded(monkeypatch, udaha):
+    monkeypatch.setattr(exprs, "MAX_DEGREE", 6)
+    assert parse_expr("T0^3*Q*T1^3", AB, UR) == parse_expr("Q*T0*T0*T0*T1*T1*T1", AB, UR)
+    assert len(parse_expr("(T0+T1)^3*(V0+V1)^3", AB, UR).terms) == 64
+    assert max(map(len, udaha.parse("inv(T0*T1*V0*V1*T0*T1)").terms)) == 6
+    refused = {
+        "T0^7": 2,  # a power of a letter, at its caret
+        "(T0*T1)^4": 7,  # a power of a word
+        "(T0+T1)^7": 7,  # a power of a sum, before it expands
+        "T0^4*T1^3": 7,  # a folded product, at the factor that passes the budget
+        "T0*T0*T0*T0*T0*T0*T0": 0,  # letters, at the product
+        "(T0+T1)^3*(V0+V1)^4": 17,  # a product of sums
+        "T0 + T1^7": 7,
+        "inv(T0*T1*V0*V1*T0*T1*V0)": 0,
+    }
+    for text, pos in refused.items():
+        with pytest.raises(ParseError) as info:
+            udaha.parse(text)
+        assert "word degree exceeds 6" in str(info.value), text
+        assert info.value.pos == pos, text
+
+
+def test_scalar_powers_are_bounded(monkeypatch):
+    monkeypatch.setattr(exprs, "MAX_DIGITS", 10)
+    monkeypatch.setattr(exprs, "MAX_TERMS", 16)
+    assert parse_expr("2^33", AB, UR) == parse_expr("8589934592", AB, UR)
+    assert parse_expr("(2*Q)^-33", AB, UR) == parse_expr("1/8589934592*Q^-33", AB, UR)
+    assert parse_expr("Q^999999999*(-1)^999999999", AB, UR).terms[()].terms == {
+        (0, 0, 0, 0, 999999999): -1
+    }
+    assert len(parse_expr("(1 + Q)^4", AB, UR).terms[()].terms) == 5
+    # a power of zero is zero without multiplying anything out
+    assert parse_expr("(T0 - T0)^9999999999*T1 + 0^9999999999", AB, UR).is_zero()
+    assert parse_expr("0^0", AB, UR) == parse_expr("1", AB, UR)
+    refused = {
+        "2^34": ("power exceeds 10 digits", 1),  # 11 digits
+        "(2*Q)^-34": ("power exceeds 10 digits", 5),
+        "12345678901*T0": ("integer literal longer than 10 digits", 0),
+        "1/12345678901": ("integer literal longer than 10 digits", 2),
+        "Q^12345678901": ("integer literal longer than 10 digits", 2),
+        "(1 + Q)^8": ("expansion exceeds 16 terms", 7),  # a multi-term coefficient
+    }
+    for text, (message, pos) in refused.items():
+        with pytest.raises(ParseError) as info:
+            parse_expr(text, AB, UR)
+        assert message in str(info.value), text
+        assert info.value.pos == pos, text
 
 
 def test_round_trip_corpus():
@@ -172,6 +237,57 @@ def test_negative_powers_need_unit_scalars(udaha):
 def test_render_parses_back(udaha):
     p = udaha.parse("V0*T0*V1*T1 - Q^-1 + 1/2*cV1*T0")
     assert udaha.parse(p.render()) == p
+    # a mixed cyclotomic coefficient of a word renders in parentheses
+    cyc = ParamRing(BaseRing.cyclotomic(4), [])
+    p = parse_expr("(1 + s)*T0 + 2 - s", AB, cyc)
+    assert p.render() == "(1 + s)*T0 + 2 - s"
+    assert parse_expr(p.render(), AB, cyc) == p
+
+
+UDAHA_RING = preset("UDAHA_model").ring
+CYC4 = ParamRing(BaseRing.cyclotomic(4), list(zip(UDAHA_RING.params, UDAHA_RING.invertible)))
+
+
+def ncpolys(ring):
+    """Elements with several terms, negative exponents on Q and Fraction scalars."""
+    rationals = st.one_of(
+        st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    )
+    scalars = rationals if ring.base.kind == "rationals" else st.tuples(rationals, rationals)
+    exponents = st.tuples(*(st.integers(-3 if inv else 0, 3) for inv in ring.invertible))
+    coeffs = st.dictionaries(exponents, scalars, max_size=3).map(ring.poly)
+    words = st.lists(st.integers(0, 3), max_size=5).map(tuple)
+    return st.dictionaries(words, coeffs, max_size=6).map(
+        lambda terms: NCPoly.from_terms(AB, ring, terms)
+    )
+
+
+@pytest.mark.parametrize("ring", [UDAHA_RING, CYC4], ids=["rationals", "cyc4"])
+def test_render_round_trips(ring):
+    @given(ncpolys(ring))
+    @settings(max_examples=50, deadline=None)
+    def round_trip(p):
+        assert parse_expr(p.render(), AB, ring) == p
+
+    round_trip()
+
+
+PIECES = [
+    "T0", "T1", "V0", "V1", "Q", "cT0", "s", "inv", "x", "0", "1", "2", "3", "9" * 30,
+    "+", "-", "*", "^", "/", "(", ")", " ", "\t", "(" * 40, "^-", "^99999999999",
+    "@", "#", ".", "\u00e9", "\u0663",
+]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_raises_parse_error(udaha, text):
+    # IndexError, ValueError, RecursionError or any other exception fails the test
+    for parse in (udaha.parse, lambda t: parse_expr(t, AB, CYC4)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 # -- presentation files -----------------------------------------------------------
