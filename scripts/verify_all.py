@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from daha import SUITE_NAMES, read_certificate, replay, run_suite
+from daha import SUITE_NAMES, CertificateError, read_certificate, replay, run_suite
 
 
 def main() -> int:
@@ -52,10 +52,14 @@ def main() -> int:
     certs = sorted(args.out.glob("*-certs/*.json"))
     bad_certs = 0
     for path in certs:
-        outcome = replay(read_certificate(path))
-        if not outcome.ok:
+        try:
+            outcome = replay(read_certificate(path))
+            ok, message = outcome.ok, outcome.message
+        except CertificateError as exc:
+            ok, message = False, str(exc)
+        if not ok:
             bad_certs += 1
-            print(f"INVALID certificate {path}: {outcome.message}")
+            print(f"INVALID certificate {path}: {message}")
     print(f"replayed {len(certs)} certificates, {bad_certs} invalid")
 
     if failed or bad_certs:

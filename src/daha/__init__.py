@@ -9,10 +9,7 @@ rewrite system, and every reduction emits a replayable certificate.
 from .algebras import (
     PRESET_NAMES,
     AlgebraPresentation,
-    AWForm,
-    AWRelation,
     SemilinearMap,
-    XYZ,
     aw_form_extract,
     aw_rhs,
     braid_b_map,
@@ -34,8 +31,6 @@ from .algebras import (
     verify_map,
 )
 from .braid import (
-    B3Report,
-    BraidAction,
     BraidWord,
     b3_act,
     b3_normal_form,
@@ -64,7 +59,6 @@ from .errors import (
     CertificateError,
     DahaError,
     ExactDivisionError,
-    ExtractionError,
     IncompatibleRingError,
     InsufficientCompletionError,
     NotAUnitError,
@@ -76,31 +70,22 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exprs import (
-    Inv,
     Num,
     Pow,
-    PresentationSpec,
     Prod,
     Sum,
     Sym,
-    ast_to_ncpoly,
     load_presentation,
     parse_ast,
     parse_expr,
     render_ast,
-    tokenize,
 )
-from .ncpoly import Alphabet, NCPoly, TermOrder, canonical_hash, fnv1a64, word_compare
+from .ncpoly import Alphabet, NCPoly, TermOrder, canonical_hash, fnv1a64
 from .rewrite import (
-    CompletionReport,
-    EqualityVerdict,
-    ReductionCertificate,
     ReductionStep,
-    RewriteRule,
     RewriteSystem,
-    apply_step,
     make_rule,
 )
-from .suites import SUITE_NAMES, CheckResult, SuiteResult, Workspace, run_suite
+from .suites import SUITE_NAMES, Workspace, run_suite
 
 __version__ = "0.1.0"

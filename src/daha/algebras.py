@@ -1,6 +1,7 @@
 """Shipped algebra presentations and the structure maps between them.
 
-Three presets:
+Three presets, written in the presentation file format and built by the
+same loader as a presentation file:
 
 * ``H_generic`` — the five-parameter double affine Hecke algebra of
   type (C1v, C1): Hecke quadratics for T0, T1, V0, V1 plus the product
@@ -25,11 +26,9 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .coeffring import (
-    RATIONALS,
     LaurentPoly,
     ParamRing,
     divide_exact,
@@ -45,9 +44,6 @@ from .errors import (
 from .exprs import PresentationSpec, load_presentation, parse_expr
 from .ncpoly import Alphabet, NCPoly, TermOrder, Word, add_terms
 from .rewrite import EqualityVerdict, RewriteSystem
-
-PRESET_NAMES = ("H_generic", "UDAHA_model", "CentralPair")
-
 
 class AlgebraPresentation:
     """A named algebra: parameters, generators, axioms, rewrite system.
@@ -70,6 +66,7 @@ class AlgebraPresentation:
         self.system = RewriteSystem(alphabet, ring, order, name=name)
         self.axioms: list = []  # (lhs word, rhs NCPoly), in declaration order
         self._traces: dict = {}
+        self.braid_maps: dict = {}  # the B3 syllable maps, filled by the braid module
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name}, {len(self.axioms)} axioms)"
@@ -136,18 +133,6 @@ class AlgebraPresentation:
             out = out * factor
         return out
 
-    def inv_element(self, m) -> NCPoly:
-        """Inverse of a standard monomial (a word, or a one-term NCPoly
-        whose coefficient is a unit)."""
-        if isinstance(m, NCPoly):
-            if len(m.terms) != 1:
-                raise UnsupportedPresetError(
-                    "only standard monomials have syntactic inverses"
-                )
-            word, coeff = next(iter(m.terms.items()))
-            return self.inv_word(word) * monomial_inverse(coeff)
-        return self.inv_word(tuple(m))
-
     # -- verification passthroughs ------------------------------------------------
 
     def complete(self, degree: int):
@@ -163,61 +148,53 @@ class AlgebraPresentation:
 # -- presets ---------------------------------------------------------------
 
 
-def _hecke_quadratic(pres: AlgebraPresentation, gen_name: str, trace: LaurentPoly):
-    g = pres.alphabet.index(gen_name)
-    rhs = NCPoly.from_terms(
-        pres.alphabet, pres.ring, {(g,): trace, (): pres.ring.scalar(-1)}
-    )
-    pres.add_axiom((g, g), rhs)
+#: the shipped presets, written in the presentation file format
+PRESET_TEXTS = {
+    "H_generic": """
+        [algebra]
+        name = H_generic
+        params = k0 inv, k1 inv, l0 inv, l1 inv, q inv
+        generators = T0, T1, V0, V1
+        [rules]
+        T0*T0 = (k0 + k0^-1)*T0 - 1
+        T1*T1 = (k1 + k1^-1)*T1 - 1
+        V0*V0 = (l0 + l0^-1)*V0 - 1
+        V1*V1 = (l1 + l1^-1)*V1 - 1
+        V0*T0*V1*T1 = q^-1
+    """,
+    "UDAHA_model": """
+        [algebra]
+        name = UDAHA_model
+        params = cT0, cT1, cV0, cV1, Q inv
+        generators = T0, T1, V0, V1
+        [rules]
+        T0*T0 = cT0*T0 - 1
+        T1*T1 = cT1*T1 - 1
+        V0*V0 = cV0*V0 - 1
+        V1*V1 = cV1*V1 - 1
+        V0*T0*V1*T1 = Q^-1
+    """,
+    "CentralPair": """
+        [algebra]
+        name = CentralPair
+        params = cu, cv
+        generators = u, v
+        [rules]
+        u*u = cu*u - 1
+        v*v = cv*v - 1
+    """,
+}
+PRESET_NAMES = tuple(PRESET_TEXTS)
 
 
 def preset(name: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
     """One of the shipped presentations, optionally reordered."""
-    if name == "H_generic":
-        ring = ParamRing(
-            RATIONALS,
-            [("k0", True), ("k1", True), ("l0", True), ("l1", True), ("q", True)],
-        )
-        alphabet = Alphabet(("T0", "T1", "V0", "V1"))
-        pres = AlgebraPresentation(
-            name, ring, alphabet, TermOrder(alphabet, order) if order else None
-        )
-        for gen_name, sym in (("T0", "k0"), ("T1", "k1"), ("V0", "l0"), ("V1", "l1")):
-            _hecke_quadratic(pres, gen_name, ring.param(sym) + ring.param(sym, -1))
-        pres.add_axiom(
-            alphabet.word("V0", "T0", "V1", "T1"),
-            NCPoly.monomial(alphabet, ring, (), ring.param("q", -1)),
-        )
-        return pres
-    if name == "UDAHA_model":
-        ring = ParamRing(
-            RATIONALS,
-            [("cT0", False), ("cT1", False), ("cV0", False), ("cV1", False), ("Q", True)],
-        )
-        alphabet = Alphabet(("T0", "T1", "V0", "V1"))
-        pres = AlgebraPresentation(
-            name, ring, alphabet, TermOrder(alphabet, order) if order else None
-        )
-        for gen_name, sym in (("T0", "cT0"), ("T1", "cT1"), ("V0", "cV0"), ("V1", "cV1")):
-            _hecke_quadratic(pres, gen_name, ring.param(sym))
-        pres.add_axiom(
-            alphabet.word("V0", "T0", "V1", "T1"),
-            NCPoly.monomial(alphabet, ring, (), ring.param("Q", -1)),
-        )
-        return pres
-    if name == "CentralPair":
-        ring = ParamRing(
-            RATIONALS,
-            [("cu", False), ("cv", False)],
-        )
-        alphabet = Alphabet(("u", "v"))
-        pres = AlgebraPresentation(
-            name, ring, alphabet, TermOrder(alphabet, order) if order else None
-        )
-        _hecke_quadratic(pres, "u", ring.param("cu"))
-        _hecke_quadratic(pres, "v", ring.param("cv"))
-        return pres
-    raise UnsupportedPresetError(f"unknown preset {name!r}")
+    if name not in PRESET_TEXTS:
+        raise UnsupportedPresetError(f"unknown preset {name!r}")
+    spec = load_presentation(PRESET_TEXTS[name])
+    if order:
+        spec = dataclasses.replace(spec, order=tuple(order))
+    return from_presentation(spec)
 
 
 def from_presentation(spec: PresentationSpec) -> AlgebraPresentation:

@@ -11,15 +11,14 @@ The action on an algebra is built from the shipped semilinear maps: a
 acts by conjugation with T1, b and c by their generator tables.  It
 follows group order, b3_act(u*v, p) = b3_act(u, b3_act(v, p)), so a
 word acts by applying its syllable maps to the element one after
-another, rightmost first, then the central map.  Each syllable map
-keeps the reduced images of the words it has met, so repeated acts
-reuse them.  Composed maps are built only on request (b3_to_map) and
-for the group-relation checks.
+another, rightmost first, then the central map.  The five syllable
+maps (b, bb, c, a, a^-1) are built once per algebra and kept on it;
+each keeps the reduced images of the words it has met, so repeated
+acts reuse them.  b3_to_map folds the same maps into one composed map.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -111,9 +110,6 @@ class BraidWord:
     def parse(cls, text: str) -> "BraidWord":
         return cls.from_letters(ch for ch in text if not ch.isspace())
 
-    def is_identity(self) -> bool:
-        return self.a_power == 0 and not self.tail
-
     def letters(self) -> str:
         """Letter rendition; parsing it back reproduces the word."""
         prefix = ("a" if self.a_power > 0 else "A") * abs(self.a_power)
@@ -147,67 +143,47 @@ def b3_normal_form(letters: Union[str, Iterable[str], BraidWord]) -> BraidWord:
     return BraidWord.from_letters(letters)
 
 
-class BraidAction:
-    """The B3 action on one algebra: `act` applies the syllable maps of a
-    normal form in sequence; `map_for` composes them into one map,
-    cached per normal form."""
-
-    def __init__(self, algebra: AlgebraPresentation):
-        self.algebra = algebra
+def _syllable_maps(algebra: AlgebraPresentation) -> dict:
+    """The maps of b, bb, c, a and a^-1 (key "A"), built on first use
+    and kept on the algebra."""
+    maps = algebra.braid_maps
+    if not maps:
         b = braid_b_map(algebra)
-        self._syllable = {
-            "b": b,
-            "bb": compose_maps(b, b, name="b^2"),
-            "c": braid_c_map(algebra),
-        }
-        self._a = conjugation_map(algebra)
-        self._a_inv = conjugation_map(algebra, inverse=True)
-        self._cache: dict = {}
-
-    def map_for(self, w) -> SemilinearMap:
-        w = b3_normal_form(w)
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
-        phi = identity_map(self.algebra)
-        for syllable in reversed(w.tail):
-            phi = compose_maps(self._syllable[syllable], phi)
-        central = self._a if w.a_power >= 0 else self._a_inv
-        for _ in range(abs(w.a_power)):
-            phi = compose_maps(central, phi)
-        phi = SemilinearMap(str(w), self.algebra, phi.images, phi.param_map)
-        self._cache[w] = phi
-        return phi
-
-    def act(self, w, p: NCPoly) -> NCPoly:
-        w = b3_normal_form(w)
-        if w.is_identity():
-            return semilinear_apply(self.map_for(w), p)
-        for syllable in reversed(w.tail):
-            p = semilinear_apply(self._syllable[syllable], p)
-        central = self._a if w.a_power >= 0 else self._a_inv
-        for _ in range(abs(w.a_power)):
-            p = semilinear_apply(central, p)
-        return p
+        maps.update(
+            b=b,
+            bb=compose_maps(b, b, name="b^2"),
+            c=braid_c_map(algebra),
+            a=conjugation_map(algebra),
+            A=conjugation_map(algebra, inverse=True),
+        )
+    return maps
 
 
-_actions: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _action_for(algebra: AlgebraPresentation) -> BraidAction:
-    action = _actions.get(algebra)
-    if action is None:
-        action = BraidAction(algebra)
-        _actions[algebra] = action
-    return action
+def _syllables(w: BraidWord) -> list:
+    """The syllable map keys of `w` in the order they act: the tail
+    rightmost first, then the central power."""
+    central = "a" if w.a_power >= 0 else "A"
+    return list(reversed(w.tail)) + [central] * abs(w.a_power)
 
 
 def b3_to_map(w, algebra: AlgebraPresentation) -> SemilinearMap:
-    return _action_for(algebra).map_for(w)
+    """The composed map of `w`: the syllable maps folded with compose_maps."""
+    w = b3_normal_form(w)
+    maps = _syllable_maps(algebra)
+    phi = identity_map(algebra)
+    for key in _syllables(w):
+        phi = compose_maps(maps[key], phi)
+    return SemilinearMap(str(w), algebra, phi.images, phi.param_map)
 
 
 def b3_act(w, p: NCPoly, algebra: AlgebraPresentation) -> NCPoly:
-    return _action_for(algebra).act(w, p)
+    maps = _syllable_maps(algebra)
+    keys = _syllables(b3_normal_form(w))
+    if not keys:
+        return semilinear_apply(identity_map(algebra), p)
+    for key in keys:
+        p = semilinear_apply(maps[key], p)
+    return p
 
 
 @dataclass(frozen=True)
@@ -232,10 +208,8 @@ class B3Report:
 def verify_b3_relations(algebra: AlgebraPresentation) -> B3Report:
     """Check b^3 = c^2 = a on the generator images, and exhibit
     b^-1 = a^-1 b^2 and c^-1 = a^-1 c as two-sided inverses."""
-    action = _action_for(algebra)
-    b = action._syllable["b"]
-    c = action._syllable["c"]
-    a = action._a
+    maps = _syllable_maps(algebra)
+    b, c, a = maps["b"], maps["c"], maps["a"]
     b_cubed = map_power(b, 3, name="b^3")
     c_squared = map_power(c, 2, name="c^2")
 
@@ -254,7 +228,7 @@ def verify_b3_relations(algebra: AlgebraPresentation) -> B3Report:
     inverses = []
     ident = identity_map(algebra)
     for phi, inv_word in ((b, "Abb"), (c, "Ac")):
-        phi_inv = action.map_for(inv_word)
+        phi_inv = b3_to_map(inv_word, algebra)
         for left, right, tag in (
             (phi, phi_inv, f"{phi.name}*({inv_word})"),
             (phi_inv, phi, f"({inv_word})*{phi.name}"),

@@ -66,16 +66,26 @@ def _rendered_steps(cert: ReductionCertificate):
         yield step.rule_id, step.position, alphabet.render_word(step.word)
 
 
+def _typed(value, kind: type, what: str):
+    """`value` if it is an instance of `kind` (a bool is no int)."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise CertificateError(f"malformed certificate: {what} is not of type {kind.__name__}")
+
+
 def certificate_from_json(data: dict) -> ReductionCertificate:
+    if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
+        raise CertificateError("not a reduction certificate")
+    if data.get("version") != FORMAT_VERSION:
+        raise CertificateError(f"unsupported version {data.get('version')!r}")
     try:
-        if data.get("format") != FORMAT_NAME:
-            raise CertificateError("not a reduction certificate")
-        if data.get("version") != FORMAT_VERSION:
-            raise CertificateError(f"unsupported version {data.get('version')!r}")
-        alphabet = Alphabet(tuple(data["algebra"]["generators"]))
+        generators = data["algebra"]["generators"]
+        alphabet = Alphabet(tuple(_typed(name, str, "a generator") for name in generators))
         steps = tuple(
             ReductionStep(
-                step["rule"], step["position"], alphabet.parse_word(step["word"])
+                _typed(step["rule"], int, "a step rule"),
+                _typed(step["position"], int, "a step position"),
+                alphabet.parse_word(_typed(step["word"], str, "a step word")),
             )
             for step in data["steps"]
         )
@@ -84,12 +94,17 @@ def certificate_from_json(data: dict) -> ReductionCertificate:
             algebra=data["algebra"],
             order=tuple(data["order"]),
             rules=tuple(
-                (entry["id"], entry["lhs"], entry["rhs"]) for entry in data["rules"]
+                (
+                    _typed(entry["id"], int, "a rule id"),
+                    _typed(entry["lhs"], str, "a rule lhs"),
+                    _typed(entry["rhs"], str, "a rule rhs"),
+                )
+                for entry in data["rules"]
             ),
-            initial=data["initial"],
+            initial=_typed(data["initial"], str, "initial"),
             initial_hash=data["initial_hash"],
             steps=steps,
-            final=data["final"],
+            final=_typed(data["final"], str, "final"),
             final_hash=data["final_hash"],
             confluence_degree=data["confluence_degree"],
             states=tuple(states) if states is not None else None,
@@ -137,9 +152,12 @@ def replay(cert: ReductionCertificate) -> ReplayResult:
 def _replay_checked(cert: ReductionCertificate) -> int:
     algebra = cert.algebra
     try:
-        base = BaseRing.from_description(algebra["base"])
-        ring = ParamRing(base, [tuple(entry) for entry in algebra["params"]])
-        alphabet = Alphabet(tuple(algebra["generators"]))
+        base = BaseRing.from_description(_typed(algebra["base"], str, "the base ring"))
+        ring = ParamRing(
+            base, [(_typed(name, str, "a parameter"), flag) for name, flag in algebra["params"]]
+        )
+        generators = algebra["generators"]
+        alphabet = Alphabet(tuple(_typed(name, str, "a generator") for name in generators))
         order = TermOrder(alphabet, cert.order)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad algebra description: {exc}") from exc

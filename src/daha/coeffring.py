@@ -342,12 +342,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_one(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        exps, c = next(iter(self.terms.items()))
-        return all(e == 0 for e in exps) and c == self.ring.base.one()
-
     def is_unit(self) -> bool:
         """Units are single terms supported on invertible symbols only
         (base coefficients are field elements, hence always invertible)."""

@@ -35,8 +35,8 @@ out.
 Input budgets keep hostile text from crashing or exhausting the
 process: `MAX_NESTING` bounds parentheses, `MAX_TERMS` every product
 and every sum, `MAX_DEGREE` the word length of every term built, and
-`MAX_DIGITS` integer literals and the scalars a power makes.  Each
-refusal is a `ParseError`.
+`MAX_DIGITS` integer literals and every scalar a power, product or sum
+makes.  Each refusal is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -63,9 +63,12 @@ MAX_TERMS = 250_000
 #: completion works at, and a certificate's render is never longer than its input
 MAX_DEGREE = 1000
 
-#: most decimal digits of an integer literal or of a scalar made by `^`:
-#: Python's default limit on int/str conversion, so such scalars still render
+#: most decimal digits of an integer literal or of a scalar that `^`, a product or
+#: a sum makes: Python's default limit on int/str conversion, so they still render
 MAX_DIGITS = 4300
+
+#: the smallest integer with more than MAX_DIGITS digits
+_TOO_LONG = 10**MAX_DIGITS
 
 _TOKEN = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/()])|(?P<stray>\S)"
@@ -311,6 +314,16 @@ def _digits_per_power(c: LaurentPoly) -> float:
     )
 
 
+def _bounded(c: LaurentPoly, pos: int) -> LaurentPoly:
+    """`c`, refused if a numerator or denominator in it has more than MAX_DIGITS
+    digits; comparing with _TOO_LONG costs no render."""
+    for x in c.terms.values():
+        for q in x if isinstance(x, tuple) else (x,):
+            if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+                raise ParseError(f"scalar exceeds {MAX_DIGITS} digits", pos)
+    return c
+
+
 class _Evaluator:
     """Evaluates AST nodes of one algebra to term maps {word: coefficient},
     with that algebra's symbol tables built once."""
@@ -385,7 +398,12 @@ class _Evaluator:
                     raise ParseError(f"word degree exceeds {MAX_DEGREE}", factor.pos)
                 if c is one:
                     continue
-            coeff = c if coeff is None else coeff * c
+            if coeff is None:
+                coeff = c
+            elif t is Sym or t is Pow and type(factor.base) is Sym:
+                coeff = coeff * c  # a parameter or `s`, or a power of one, grows no digits
+            else:
+                coeff = _bounded(coeff * c, factor.pos)
         if head is None or word or coeff is not None:
             if len(word) > MAX_DEGREE:
                 raise ParseError(f"word degree exceeds {MAX_DEGREE}", node.pos)
@@ -402,6 +420,8 @@ class _Evaluator:
             add_terms(out, value if sign > 0 else [(w, -c) for w, c in value])
             if len(out) > MAX_TERMS:
                 raise ParseError(f"expansion exceeds {MAX_TERMS} terms", term.pos)
+        for c in out.values():
+            _bounded(c, node.pos)
         return out
 
     def power(self, node: Pow) -> dict:
@@ -463,6 +483,8 @@ class _Evaluator:
             raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
         out: dict = {}
         add_terms(out, [(w1 + w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right.items()])
+        for c in out.values():
+            _bounded(c, pos)
         return out
 
     def inverse(self, node: Inv) -> dict:

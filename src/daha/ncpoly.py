@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coeffring import LaurentPoly, ParamRing
 from .errors import (
@@ -110,15 +110,6 @@ class TermOrder:
 
     def __repr__(self):
         return f"TermOrder({' < '.join(self.precedence)})"
-
-
-def word_compare(u: Word, v: Word, order: TermOrder) -> int:
-    """Compare two words under the given order (-1, 0 or +1)."""
-    n = len(order.alphabet)
-    for w in (u, v):
-        if any(not (0 <= g < n) for g in w):
-            raise AlphabetMismatchError("word does not fit the order's alphabet")
-    return order.compare(u, v)
 
 
 def add_terms(terms: dict, pairs) -> None:

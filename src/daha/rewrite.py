@@ -188,13 +188,6 @@ def step_in_place(terms: dict, step: ReductionStep, rules: Mapping, alphabet: Al
     substitute(terms, word, pos, rule, coeff)
 
 
-def apply_step(p: NCPoly, step: ReductionStep, rules: Mapping[int, RewriteRule]) -> NCPoly:
-    """:func:`step_in_place` on a copy of `p`."""
-    terms = dict(p.terms)
-    step_in_place(terms, step, rules, p.alphabet)
-    return NCPoly(p.alphabet, p.ring, terms)
-
-
 class RewriteSystem:
     """Rules over one alphabet and coefficient ring, plus completion state.
 
@@ -432,10 +425,12 @@ class RewriteSystem:
 
     def ambiguity_difference(self, amb: AmbiguityRecord) -> NCPoly:
         """Difference of the two one-step reductions of the ambiguous word."""
-        start = NCPoly.monomial(self.alphabet, self.ring, amb.word)
-        left = apply_step(start, ReductionStep(amb.rule1, amb.pos1, amb.word), self.rules)
-        right = apply_step(start, ReductionStep(amb.rule2, amb.pos2, amb.word), self.rules)
-        return left - right
+        sides = []
+        for rule_id, pos in ((amb.rule1, amb.pos1), (amb.rule2, amb.pos2)):
+            terms = {amb.word: self.ring.one()}
+            step_in_place(terms, ReductionStep(rule_id, pos, amb.word), self.rules, self.alphabet)
+            sides.append(NCPoly(self.alphabet, self.ring, terms))
+        return sides[0] - sides[1]
 
     def _orient(self, diff: NCPoly, amb: AmbiguityRecord | None = None) -> RewriteRule:
         """Turn a fully reduced nonzero relation into a rule; `amb` is the

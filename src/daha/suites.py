@@ -19,6 +19,7 @@ from typing import Optional
 
 from .algebras import (
     PRESET_NAMES,
+    PRESET_TEXTS,
     AlgebraPresentation,
     aw_form_extract,
     aw_rhs,
@@ -28,7 +29,6 @@ from .algebras import (
     four_cycle,
     from_presentation,
     map_power,
-    preset,
     q_symbol,
     semilinear_apply,
     specialize_presentation,
@@ -45,7 +45,7 @@ from .coeffring import (
     monomial_inverse,
 )
 from .errors import DahaError
-from .exprs import PresentationSpec
+from .exprs import PresentationSpec, load_presentation
 from .ncpoly import NCPoly
 
 SUITE_NAMES = (
@@ -151,14 +151,14 @@ class Workspace:
     def algebra(self, name: str) -> AlgebraPresentation:
         if name in self._cache:
             return self._cache[name]
-        if self.override is not None and name == self._override_target:
+        if name == self._override_target:
             spec = self.override
-            forced = self._order_for(spec.generators)
-            if forced:
-                spec = dataclasses.replace(spec, order=forced)
-            alg = from_presentation(spec)
         else:
-            alg = preset(name, order=self._order_for(preset(name).alphabet.symbols))
+            spec = load_presentation(PRESET_TEXTS[name])
+        forced = self._order_for(spec.generators)
+        if forced:
+            spec = dataclasses.replace(spec, order=forced)
+        alg = from_presentation(spec)
         alg.complete(self.degree)
         self._cache[name] = alg
         return alg

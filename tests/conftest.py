@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from daha import AlgebraPresentation, NCPoly, RewriteSystem, preset
+from daha import (
+    AlgebraPresentation,
+    AlphabetMismatchError,
+    NCPoly,
+    RewriteSystem,
+    UnsupportedPresetError,
+    monomial_inverse,
+    preset,
+)
 from daha.rewrite import substitute
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -45,6 +53,24 @@ def central() -> AlgebraPresentation:
 @pytest.fixture()
 def data_dir() -> Path:
     return DATA_DIR
+
+
+# -- small helpers over the engine ----------------------------------------------
+
+def inv_element(alg: AlgebraPresentation, m: NCPoly) -> NCPoly:
+    """Inverse of a standard monomial: a one-term element whose coefficient is a unit."""
+    if len(m.terms) != 1:
+        raise UnsupportedPresetError("only standard monomials have syntactic inverses")
+    ((word, coeff),) = m.terms.items()
+    return alg.inv_word(word) * monomial_inverse(coeff)
+
+
+def word_compare(u, v, order) -> int:
+    """Compare two words under `order` (-1, 0 or +1) after checking their letters."""
+    n = len(order.alphabet)
+    if any(not (0 <= g < n) for g in u + v):
+        raise AlphabetMismatchError("word does not fit the order's alphabet")
+    return order.compare(u, v)
 
 
 # -- deterministic random elements -------------------------------------------

@@ -115,7 +115,7 @@ def test_group_operations():
         u, v = random_letters(rng), random_letters(rng)
         wu, wv = b3_normal_form(u), b3_normal_form(v)
         assert wu * wv == b3_normal_form(u + v)
-        assert (wu * wu.inverse()).is_identity()
+        assert wu * wu.inverse() == BraidWord.identity()
         assert wu ** 3 == wu * wu * wu
         assert wu ** -2 == (wu.inverse()) ** 2
     assert BraidWord.identity() ** 5 == BraidWord.identity()
@@ -148,12 +148,10 @@ def test_braid_word_validation():
 
 # -- the action on the algebra ---------------------------------------------------
 
-def test_b3_to_map_identity_and_cache(udaha):
+def test_b3_to_map_identity(udaha):
     ident = b3_to_map(BraidWord.identity(), udaha)
     for name in udaha.alphabet.symbols:
         assert ident.image(name) == udaha.gen(name)
-    again = b3_to_map(b3_normal_form("bcB"), udaha)
-    assert b3_to_map(b3_normal_form("bcB"), udaha) is again
 
 
 def test_action_is_compatible_with_products(udaha):

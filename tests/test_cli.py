@@ -98,6 +98,19 @@ def test_huge_power_exits_2(capsys):
     assert err.startswith("error: power exceeds 4300 digits")
 
 
+@pytest.mark.parametrize("expr", [
+    "10^4000*10^4000*T0",
+    "(10^4000*T0 + T1)^2",
+    "(10^4000*T0 + T1)*(10^4000*T0 + T1)",
+    "9" * 4300 + "*T0 + " + "9" * 4300 + "*T0",
+])
+def test_huge_scalar_product_exits_2(capsys, expr):
+    code, out, err = run(capsys, "reduce", expr)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: scalar exceeds 4300 digits")
+
+
 def test_huge_literal_exits_2(capsys):
     code, out, err = run(capsys, "reduce", "7" * 5000 + "*T0")
     assert code == 2
@@ -214,7 +227,33 @@ def test_replay_command(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: d["steps"][0].update(position="0"), id="position-str"),
+    pytest.param(lambda d: d["steps"][0].update(position=0.0), id="position-float"),
+    pytest.param(lambda d: d["steps"][0].update(rule=[1]), id="rule-list"),
+    pytest.param(lambda d: [d], id="top-level-list"),
+    pytest.param(lambda d: d["algebra"].update(base=1), id="base-int"),
+    pytest.param(lambda d: d.update(initial=1), id="initial-int"),
+])
+def test_replay_reports_malformed_certificates(capsys, tmp_path, mutate):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "reduce", "V0*V0*T0*V1*T1", "--degree", "6", "--json", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    cert_path.write_text(json.dumps(mutate(data) or data))
+    code, out, err = run(capsys, "replay", str(cert_path))
+    assert code == 1
+    assert f"{cert_path}: invalid (" in out
+    assert not err
+
+
 # -- plumbing -----------------------------------------------------------------------
+
+def test_bad_order_on_preset_exits_2(capsys):
+    code, out, err = run(capsys, "reduce", "T0", "--order", "T0,T0,V0,V1")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: precedence must permute the alphabet")
+
 
 def test_unknown_algebra_token(capsys):
     code, _, err = run(capsys, "reduce", "T0", "--algebra", "NoSuchThing")

@@ -189,12 +189,12 @@ def test_ast_to_ncpoly_matches_hand_built(udaha):
     assert p == udaha.param("Q", -1) * udaha.gen("T0") * udaha.gen("T0")
     x = udaha.parse("V0*T1 + inv(V0*T1)")
     v0t1 = udaha.gen("V0") * udaha.gen("T1")
-    assert x == v0t1 + udaha.inv_element(v0t1)
+    assert x == v0t1 + udaha.inv_word(udaha.alphabet.word("V0", "T1"))
     assert udaha.parse("inv(1)") == udaha.one()
     # products fold letters and scalars but still multiply out sums in order
     t0, t1, v0 = udaha.gen("T0"), udaha.gen("T1"), udaha.gen("V0")
     folded = udaha.parse("2*T0*(Q + cT0)*T1*(T0 - V0)*Q^-1*inv(V0)*3/4")
-    by_hand = t0 * t1 * (t0 - v0) * udaha.inv_element(v0)
+    by_hand = t0 * t1 * (t0 - v0) * udaha.inv_word(udaha.alphabet.word("V0"))
     factor = Fraction(3, 2) * (udaha.param("Q") + udaha.param("cT0")) * udaha.param("Q", -1)
     assert folded == by_hand.scale(factor)
     assert udaha.parse("T0*0*T1").is_zero()

@@ -17,8 +17,9 @@ from daha import (
     ZeroPolynomialError,
     canonical_hash,
     fnv1a64,
-    word_compare,
 )
+
+from conftest import word_compare
 
 AB = Alphabet(("T0", "T1", "V0", "V1"))
 UR = ParamRing(

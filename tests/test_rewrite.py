@@ -1,6 +1,7 @@
 """Rewriting: rule orientation, normal forms, completion, certificates."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -18,13 +19,14 @@ from daha import (
     ReductionStep,
     RewriteSystem,
     TermOrder,
-    apply_step,
+    certificate_from_json,
+    certificate_to_json,
     make_rule,
     preset,
     replay,
     resolve_algebra,
 )
-from daha.rewrite import substitute
+from daha.rewrite import step_in_place, substitute
 from conftest import normal_form_random, random_element
 
 SETTINGS = {"max_examples": 40, "deadline": None}
@@ -60,24 +62,31 @@ def test_make_rule_rejects_bad_orientation():
 
 # -- single steps -------------------------------------------------------------------
 
-def test_apply_step_golden(udaha):
+def one_step(alg, p, step):
+    """`step_in_place` on a copy of the terms of `p`."""
+    terms = dict(p.terms)
+    step_in_place(terms, step, alg.system.rules, alg.alphabet)
+    return NCPoly(alg.alphabet, alg.ring, terms)
+
+
+def test_step_in_place_golden(udaha):
     v0 = udaha.gen("V0")
     p = v0 * v0
     step = ReductionStep(3, 0, udaha.alphabet.word("V0", "V0"))
-    out = apply_step(p, step, udaha.system.rules)
+    out = one_step(udaha, p, step)
     assert out == udaha.param("cV0") * v0 - 1
 
 
-def test_apply_step_rejects_mismatches(udaha):
+def test_step_in_place_rejects_mismatches(udaha):
     word = udaha.alphabet.word("V0", "V0")
     p = udaha.gen("V0") * udaha.gen("V0")
     with pytest.raises(CertificateError):
-        apply_step(p, ReductionStep(999, 0, word), udaha.system.rules)
+        one_step(udaha, p, ReductionStep(999, 0, word))
     with pytest.raises(CertificateError):
-        apply_step(p, ReductionStep(3, 1, word), udaha.system.rules)
+        one_step(udaha, p, ReductionStep(3, 1, word))
     absent = udaha.alphabet.word("T0", "T0")
     with pytest.raises(CertificateError):
-        apply_step(p, ReductionStep(1, 0, absent), udaha.system.rules)
+        one_step(udaha, p, ReductionStep(1, 0, absent))
 
 
 def test_substitute_in_place(udaha):
@@ -118,7 +127,7 @@ def test_recorded_steps_replay_sequentially(udaha):
         nf, steps = udaha.system.normal_form(p, record=True)
         current = p
         for step in steps:
-            current = apply_step(current, step, udaha.system.rules)
+            current = one_step(udaha, current, step)
         assert current == nf
         assert udaha.nf(nf) == nf  # idempotent
 
@@ -319,6 +328,46 @@ def test_certificate_tampering_detected(udaha):
 
     dropped = dataclasses.replace(cert, steps=cert.steps[:-1])
     assert not replay(dropped).ok
+
+
+def json_paths(value, prefix=()):
+    """The key path of `value` and of everything nested in it."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        keys = value.keys() if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            yield from json_paths(value[key], prefix + (key,))
+
+
+DELETE = object()
+JSON_SWAPS = st.sampled_from([0, -1, 2.5, "0", "x", "", [], [1], [[1]], {}, {"a": 1}, None, True, DELETE])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_certificate_json_is_refused_or_replayed(udaha, data):
+    # any field swapped for a value of another JSON type, or deleted: decoding
+    # raises CertificateError or replay returns a result, nothing else
+    p = udaha.parse("V0*V0*T0*V1*T1 + 2*T1*T1")
+    _, cert = udaha.system.reduce_with_certificate(p, verbose=True)
+    doc = json.loads(json.dumps(certificate_to_json(cert)))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    swap = data.draw(JSON_SWAPS)
+    if not path:
+        doc = {} if swap is DELETE else swap
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if swap is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = swap
+    try:
+        mutated = certificate_from_json(doc)
+    except CertificateError:
+        return
+    assert isinstance(replay(mutated).ok, bool)
 
 
 def tamper_step(cert, index, **changes):

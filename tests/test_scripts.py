@@ -1,0 +1,44 @@
+"""The scripts under scripts/, run as subprocesses the way a user runs them."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+
+
+def test_verify_all_replays_every_certificate(tmp_path):
+    proc = run_script("verify_all.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "replayed 134 certificates, 0 invalid" in proc.stdout
+    assert proc.stdout.endswith("all suites verified\n")
+
+
+def test_verify_all_counts_undecodable_certificates(tmp_path):
+    certs = tmp_path / "extra-certs"
+    certs.mkdir()
+    (certs / "broken.json").write_text("[1, 2]")
+    # a low degree keeps this quick; some suites then fail, but every
+    # certificate they write still replays
+    proc = run_script("verify_all.py", "--degree", "4", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "broken.json: not a reduction certificate" in proc.stdout
+    assert " certificates, 1 invalid" in proc.stdout
+    assert not proc.stderr
+
+
+def test_show_systems_runs():
+    proc = run_script("show_systems.py")
+    assert proc.returncode == 0, proc.stderr
+    for name in ("H_generic", "UDAHA_model", "CentralPair"):
+        assert f"== {name} ==" in proc.stdout
+    assert "irreducible words by degree: 0:1" in proc.stdout

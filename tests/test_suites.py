@@ -1,5 +1,6 @@
 """Named verification suites: determinism, overrides, negative controls."""
 
+import gc
 import hashlib
 import json
 
@@ -115,3 +116,14 @@ def test_suite_all_certificates_are_golden(tmp_path, verbose):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     assert digest.hexdigest() == GOLDEN_SUITE_ALL[verbose]
+
+
+def test_repeated_braid_suites_do_not_leak():
+    # the braid action's maps live on their algebra, so they are freed with it
+    counts = []
+    for _ in range(4):
+        assert run_suite("lemma4.2", degree=6).passed
+        assert run_suite("thm5.1", degree=6).passed
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+    assert counts[3] - counts[1] < 100, counts
