@@ -31,7 +31,8 @@ def main() -> int:
         print(
             f"completed to degree {report.degree}: {report.passes} passes, "
             f"{report.rules_added} rules added, "
-            f"{report.ambiguities_checked} ambiguities checked"
+            f"{report.ambiguities_checked} ambiguities checked, "
+            f"{report.ambiguities_skipped} skipped as already resolved"
         )
         for rule in alg.system.sorted_rules():
             print(f"  [{rule.id}] {rule.render(alg.alphabet)}")

@@ -64,7 +64,8 @@ def _cmd_complete(args) -> int:
     print(
         f"completed to degree {report.degree}: {report.passes} passes, "
         f"{report.rules_added} rules added, "
-        f"{report.ambiguities_checked} ambiguities checked"
+        f"{report.ambiguities_checked} ambiguities checked, "
+        f"{report.ambiguities_skipped} skipped as already resolved"
     )
     rules = alg.system.sorted_rules()
     print(f"active rules ({len(rules)}):")
@@ -77,6 +78,7 @@ def _cmd_complete(args) -> int:
             "passes": report.passes,
             "rules_added": report.rules_added,
             "ambiguities_checked": report.ambiguities_checked,
+            "ambiguities_skipped": report.ambiguities_skipped,
             "rules": [
                 {
                     "id": rule.id,

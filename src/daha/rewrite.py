@@ -14,6 +14,9 @@ single deterministic steps while touching each word once.  The recorded
 step list replays exactly on the input element, which is what the
 certificate format relies on.
 
+Completion checks a critical pair again only when one of its two rules has
+changed since the pair was last found resolved.
+
 `proved-equal` verdicts are sound at any completion degree (rewriting
 only subtracts multiples of relations); `distinct-at-degree` verdicts
 additionally need confluence up to the degree of the difference, so
@@ -24,6 +27,7 @@ when completion has not been pushed far enough.
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,10 +39,13 @@ from .errors import (
 )
 from .ncpoly import Alphabet, NCPoly, TermOrder, Word, canonical_hash
 
+log = logging.getLogger("daha")
+
 
 @dataclass(frozen=True, eq=False)
 class RewriteRule:
-    """An oriented relation `lhs -> rhs`; ids are stable within a system."""
+    """An oriented relation `lhs -> rhs`; ids are stable within a system,
+    and a new rhs makes a new object (rules compare by identity)."""
 
     id: int
     lhs: Word
@@ -71,7 +78,7 @@ class ReductionStep:
     word: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmbiguityRecord:
     """A critical pair: two one-step reductions of the same word.
 
@@ -92,7 +99,8 @@ class CompletionReport:
     degree: int
     passes: int
     rules_added: int
-    ambiguities_checked: int
+    ambiguities_checked: int  # differences actually normalized
+    ambiguities_skipped: int  # found resolved earlier with the same two rules
 
 
 @dataclass(frozen=True)
@@ -138,10 +146,7 @@ class EqualityVerdict:
     def summary(self) -> str:
         if self.equal:
             return f"proved-equal (residual 0, {len(self.certificate.steps)} steps)"
-        return (
-            f"distinct-at-degree {self.degree} "
-            f"(residual {self.residual.render()})"
-        )
+        return f"distinct-at-degree {self.degree} (residual {self.residual.render()})"
 
 
 def substitute(terms: dict, word: Word, pos: int, rule: RewriteRule, coeff) -> list:
@@ -198,13 +203,8 @@ class RewriteSystem:
     inter-reduction has replaced or retired rules.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        ring: ParamRing,
-        order: TermOrder | None = None,
-        name: str | None = None,
-    ):
+    def __init__(self, alphabet: Alphabet, ring: ParamRing,
+                 order: TermOrder | None = None, name: str | None = None):
         if order is None:
             order = TermOrder(alphabet)
         if order.alphabet != alphabet:
@@ -218,6 +218,8 @@ class RewriteSystem:
         self._next_id = 1
         self._by_first: dict[int, list[RewriteRule]] = {}
         self._irreducible: set = set()
+        self._resolved: set = set()  # (AmbiguityRecord, rule1, rule2) keys
+        self._neg_rank = tuple(-order.precedence.index(s) for s in alphabet.symbols)
 
     # -- rule bookkeeping --------------------------------------------------
 
@@ -261,10 +263,7 @@ class RewriteSystem:
         return {
             "name": self.name,
             "base": self.ring.base.describe(),
-            "params": [
-                [name, bool(flag)]
-                for name, flag in zip(self.ring.params, self.ring.invertible)
-            ],
+            "params": [[name, bool(flag)] for name, flag in zip(self.ring.params, self.ring.invertible)],
             "generators": list(self.alphabet.symbols),
         }
 
@@ -289,8 +288,7 @@ class RewriteSystem:
     # -- normal forms --------------------------------------------------------
 
     def _neg_key(self, word: Word):
-        length, ranks = self.order.key(word)
-        return (-length, tuple(-r for r in ranks))
+        return (-len(word), tuple(map(self._neg_rank.__getitem__, word)))
 
     def normal_form(self, p: NCPoly, record: bool = False):
         """Reduce to normal form; returns (nf, steps).
@@ -403,24 +401,13 @@ class RewriteSystem:
             for r2 in rules:
                 l1, l2 = r1.lhs, r2.lhs
                 for k in range(1, min(len(l1), len(l2))):
-                    if l1[len(l1) - k :] != l2[:k]:
-                        continue
-                    word = l1 + l2[k:]
-                    if len(word) > max_degree:
-                        continue
-                    records.append(
-                        AmbiguityRecord(
-                            "overlap", word, r1.id, 0, r2.id, len(l1) - k
-                        )
-                    )
-                if len(l2) < len(l1) or (l2 == l1 and r1.id < r2.id):
+                    if l1[len(l1) - k :] == l2[:k] and len(l1) + len(l2) - k <= max_degree:
+                        word = l1 + l2[k:]
+                        records.append(AmbiguityRecord("overlap", word, r1.id, 0, r2.id, len(l1) - k))
+                if len(l1) <= max_degree and (len(l2) < len(l1) or (l2 == l1 and r1.id < r2.id)):
                     for pos in range(len(l1) - len(l2) + 1):
-                        if l1[pos : pos + len(l2)] == l2 and len(l1) <= max_degree:
-                            records.append(
-                                AmbiguityRecord(
-                                    "inclusion", l1, r1.id, 0, r2.id, pos
-                                )
-                            )
+                        if l1[pos : pos + len(l2)] == l2:
+                            records.append(AmbiguityRecord("inclusion", l1, r1.id, 0, r2.id, pos))
         return records
 
     def ambiguity_difference(self, amb: AmbiguityRecord) -> NCPoly:
@@ -461,27 +448,23 @@ class RewriteSystem:
         rhs in normal form.  Rhs updates keep their rule id; a rule whose
         lhs falls gets retired and its surviving content re-oriented under
         a fresh id."""
-        changed = True
-        while changed:
-            changed = False
+        while True:
             for rule_id in sorted(self.rules):
                 rule = self.rules[rule_id]
                 self._unregister(rule_id)
                 if self.find_redex(rule.lhs) is not None:
-                    relation = (
-                        NCPoly.monomial(self.alphabet, self.ring, rule.lhs)
-                        - rule.rhs
-                    )
-                    survivor = self.nf(relation)
+                    head = NCPoly.monomial(self.alphabet, self.ring, rule.lhs)
+                    survivor = self.nf(head - rule.rhs)
                     if survivor:
                         self._orient(survivor)
-                    changed = True
-                    break
+                    break  # the lhs set changed: scan again
                 self._register(rule)
                 reduced = self.nf(rule.rhs)
                 if reduced != rule.rhs:
                     self._replace_rhs(rule_id, reduced)
-                    changed = True
+            else:
+                # no lhs changed, so every rhs normalized in this scan stays normal
+                return
 
     def complete_to_degree(self, degree: int) -> CompletionReport:
         """Resolve all ambiguities of degree at most `degree`.
@@ -490,30 +473,40 @@ class RewriteSystem:
         difference (smallest first) and inter-reduces, until a sweep
         finds nothing.  Terminates because each new rule strictly shrinks
         the finite set of irreducible words of bounded degree.
+
+        A pair whose difference once reduced to 0 is skipped while both of
+        its rule objects stand, across passes and later calls.  That stays
+        sound: the reduction wrote the difference through relations on
+        words below the ambiguous one, and inter-reduction re-expresses a
+        retired or rewritten relation through relations on words no larger
+        than its lhs, so the pair stays resolvable relative to the order
+        (the diamond lemma's condition) for every later rule set.
         """
         if degree <= self.confluence_degree:
-            return CompletionReport(self.confluence_degree, 0, 0, 0)
-        passes = 0
-        added = 0
-        checked = 0
+            return CompletionReport(self.confluence_degree, 0, 0, 0, 0)
+        passes = added = checked = skipped = 0
         while True:
             passes += 1
+            before = (checked, skipped, added)
+            # keys of replaced or retired rules can never match again
+            live = set(self.rules.values())
+            self._resolved = {k for k in self._resolved if k[1] in live and k[2] in live}
             unresolved = []
             for amb in self.critical_pairs(degree):
+                key = (amb, self.rules[amb.rule1], self.rules[amb.rule2])
+                if key in self._resolved:
+                    skipped += 1
+                    continue
                 checked += 1
                 diff = self.nf(self.ambiguity_difference(amb))
                 if diff:
                     unresolved.append((diff, amb))
-            if not unresolved:
-                break
-            unresolved.sort(
-                key=lambda item: (
-                    item[0].degree(),
-                    self.order.key(item[0].leading_term(self.order)[0]),
-                    item[1].rule1,
-                    item[1].rule2,
-                )
-            )
+                else:
+                    self._resolved.add(key)
+            unresolved.sort(key=lambda item: (
+                item[0].degree(), self.order.key(item[0].leading_term(self.order)[0]),
+                item[1].rule1, item[1].rule2,
+            ))
             for diff, amb in unresolved:
                 # earlier orientations in this sweep may already resolve it
                 diff = self.nf(diff)
@@ -522,5 +515,10 @@ class RewriteSystem:
                 self._orient(diff, amb)
                 added += 1
                 self._interreduce()
+            log.debug("completion to degree %d, pass %d: %d checked, %d skipped, "
+                      "%d unresolved, %d rules added", degree, passes, checked - before[0],
+                      skipped - before[1], len(unresolved), added - before[2])
+            if not unresolved:
+                break
         self.confluence_degree = max(self.confluence_degree, degree)
-        return CompletionReport(degree, passes, added, checked)
+        return CompletionReport(degree, passes, added, checked, skipped)

@@ -122,10 +122,13 @@ def test_huge_literal_exits_2(capsys):
 
 def test_complete_json(capsys, tmp_path):
     out_path = tmp_path / "rules.json"
-    code, out, _ = run(capsys, "complete", "--degree", "6", "--json", str(out_path))
+    code, out, err = run(capsys, "complete", "--degree", "6", "--json", str(out_path))
     assert code == 0
+    assert not err  # the per-pass debug log prints nothing unless configured
+    assert "30 ambiguities checked, 26 skipped as already resolved" in out
     payload = json.loads(out_path.read_text())
     assert payload["degree"] == 6
+    assert (payload["ambiguities_checked"], payload["ambiguities_skipped"]) == (30, 26)
     assert len(payload["rules"]) == 8
     lhs_set = {rule["lhs"] for rule in payload["rules"]}
     assert "V0*T1" in lhs_set and "T0*T0" in lhs_set

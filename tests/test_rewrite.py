@@ -1,7 +1,10 @@
 """Rewriting: rule orientation, normal forms, completion, certificates."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
+import logging
 import random
 
 import pytest
@@ -201,7 +204,10 @@ def test_completion_report_and_rules():
     assert report.degree == 6
     assert report.passes == 5
     assert report.rules_added == 8
-    assert report.ambiguities_checked == 56
+    # 56 pair checks over the five passes; 26 repeat a pair already found
+    # resolved with the same two rules and are skipped
+    assert (report.ambiguities_checked, report.ambiguities_skipped) == (30, 26)
+    assert report.ambiguities_checked + report.ambiguities_skipped == 56
     rules = alg.system.sorted_rules()
     assert len(rules) == 8
     by_lhs = {alg.alphabet.render_word(r.lhs): r for r in rules}
@@ -224,9 +230,13 @@ def test_completion_is_idempotent():
     alg.complete(6)
     rules = {r.id for r in alg.system.sorted_rules()}
     again = alg.complete(6)
-    assert (again.passes, again.rules_added, again.ambiguities_checked) == (0, 0, 0)
+    assert (again.passes, again.rules_added) == (0, 0)
+    assert (again.ambiguities_checked, again.ambiguities_skipped) == (0, 0)
     extended = alg.complete(10)
     assert extended.rules_added == 0  # no ambiguities survive past degree 7
+    # every pair was found resolved at degree 6 with the same rules
+    assert extended.ambiguities_checked == 0
+    assert extended.ambiguities_skipped == len(alg.system.critical_pairs(10)) == 12
     assert {r.id for r in alg.system.sorted_rules()} == rules
     assert alg.system.confluence_degree == 10
 
@@ -285,6 +295,84 @@ def test_completion_detects_collapse():
     # g^3 reduces to both g and 2, so g -> 2 and then 1 = g*g -> 4
     with pytest.raises(OrientationError):
         system.complete_to_degree(4)
+
+
+def _completed_rules(name, order, degrees) -> str:
+    """The rendered rule set after completing to each degree in turn, or
+    the refusal message."""
+    alg = preset(name, order=order)
+    try:
+        for degree in degrees:
+            alg.complete(degree)
+    except OrientationError as exc:
+        return f"refused: {exc}"
+    return "; ".join(f"[{r.id}] {r.render(alg.alphabet)}" for r in alg.system.sorted_rules())
+
+
+ORDERS = list(itertools.permutations(("T0", "T1", "V0", "V1")))
+
+
+def test_completed_rule_sets_are_pinned():
+    # rule ids, left and right sides and refusal messages of both presets
+    # under all 24 precedences at degree 5; skipping resolved pairs must
+    # not move any of them
+    lines = [
+        f"{name} {','.join(order)}: {_completed_rules(name, order, [5])}"
+        for name in ("H_generic", "UDAHA_model")
+        for order in ORDERS
+    ]
+    assert sum("refused: " in line for line in lines) == 10
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "be97064b2ac6f7d10d93656cf51ec77b7e43c8de5f76bb3154ae54c31d216288"
+
+
+@pytest.mark.parametrize("name", ["H_generic", "UDAHA_model"])
+@pytest.mark.parametrize("order", [None, ("T0", "V1", "T1", "V0")])
+def test_raising_the_degree_matches_direct_completion(name, order):
+    assert _completed_rules(name, order, [5, 8]) == _completed_rules(name, order, [8])
+
+
+def test_rewritten_rule_is_checked_again(monkeypatch):
+    ab = Alphabet(("x", "y", "z", "w"))
+    ring = ParamRing(RATIONALS, [])
+    system = RewriteSystem(ab, ring)
+
+    def m(*letters):
+        return NCPoly.monomial(ab, ring, ab.word(*letters))
+
+    square = system.add_rule(ab.word("x", "x"), m("z"))
+    system.add_rule(ab.word("w", "w"), m("w"))
+    first = system.complete_to_degree(4)  # adds z*x -> x*z
+    assert (first.ambiguities_checked, first.ambiguities_skipped) == (4, 1)
+    checked = []
+    original = system.ambiguity_difference
+    monkeypatch.setattr(system, "ambiguity_difference",
+                        lambda amb: checked.append(amb) or original(amb))
+    # inter-reduction rewrites x*x -> z to x*x -> y and retires z*x -> x*z
+    system.add_rule(ab.word("z"), m("y"))
+    second = system.complete_to_degree(4)
+    assert system.rules[square.id] is not square
+    assert system.rules[square.id].rhs == m("y")
+    checked_words = [ab.render_word(amb.word) for amb in checked]
+    assert checked_words == ["z*x", "x*x*x", "y*x*x"]
+    # skipped: x*x*x, w*w*w and z*x*x before the rewrite, w*w*w after it
+    assert (second.ambiguities_checked, second.ambiguities_skipped) == (3, 4)
+    assert system.check_equal(m("x", "x", "x"), m("x", "y")).equal
+    assert system.check_equal(m("z", "x"), m("x", "z")).equal
+    assert system.check_equal(m("x", "y"), m("y", "y")).verdict == "distinct-at-degree"
+
+
+def test_completion_logs_each_pass(caplog):
+    caplog.set_level(logging.DEBUG, logger="daha")
+    alg = preset("UDAHA_model")
+    report = alg.complete(6)
+    rows = [r.args for r in caplog.records if r.msg.startswith("completion to degree")]
+    assert len(rows) == report.passes == 5
+    assert [row[1] for row in rows] == [1, 2, 3, 4, 5]
+    assert sum(row[2] for row in rows) == report.ambiguities_checked
+    assert sum(row[3] for row in rows) == report.ambiguities_skipped
+    assert sum(row[5] for row in rows) == report.rules_added
+    assert rows[-1][4] == 0  # the last pass finds nothing unresolved
 
 
 # -- certificates --------------------------------------------------------------------------

@@ -42,3 +42,5 @@ def test_show_systems_runs():
     for name in ("H_generic", "UDAHA_model", "CentralPair"):
         assert f"== {name} ==" in proc.stdout
     assert "irreducible words by degree: 0:1" in proc.stdout
+    assert "ambiguities checked, " in proc.stdout
+    assert "skipped as already resolved" in proc.stdout
