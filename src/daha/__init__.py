@@ -22,7 +22,7 @@ from .algebras import (
     identity_map,
     map_power,
     preset,
-    read_presentation,
+    presentation_spec,
     resolve_algebra,
     semilinear_apply,
     specialize_ncpoly,

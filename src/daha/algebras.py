@@ -191,10 +191,29 @@ def preset(name: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentat
     """One of the shipped presentations, optionally reordered."""
     if name not in PRESET_TEXTS:
         raise UnsupportedPresetError(f"unknown preset {name!r}")
-    spec = load_presentation(PRESET_TEXTS[name])
-    if order:
-        spec = dataclasses.replace(spec, order=tuple(order))
-    return from_presentation(spec)
+    return resolve_algebra(name, order)
+
+
+def presentation_spec(token: str) -> PresentationSpec:
+    """The presentation named by a preset name or a presentation file path."""
+    if token in PRESET_TEXTS:
+        return load_presentation(PRESET_TEXTS[token])
+    if not os.path.exists(token):
+        raise UnsupportedPresetError(
+            f"{token!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a file"
+        )
+    with open(token, encoding="utf-8") as handle:
+        return load_presentation(handle.read())
+
+
+def reordered(spec: PresentationSpec, order: Optional[Sequence[str]]) -> PresentationSpec:
+    """`spec` under the term-order precedence `order`, when one is given."""
+    return dataclasses.replace(spec, order=tuple(order)) if order else spec
+
+
+def resolve_algebra(token: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
+    """A preset name, or a path to a presentation file, optionally reordered."""
+    return from_presentation(reordered(presentation_spec(token), order))
 
 
 def from_presentation(spec: PresentationSpec) -> AlgebraPresentation:
@@ -219,25 +238,6 @@ def from_presentation(spec: PresentationSpec) -> AlgebraPresentation:
     return pres
 
 
-def read_presentation(path) -> PresentationSpec:
-    with open(path, encoding="utf-8") as handle:
-        return load_presentation(handle.read())
-
-
-def resolve_algebra(token: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
-    """A preset name, or a path to a presentation file, optionally reordered."""
-    if token in PRESET_NAMES:
-        return preset(token, order=order)
-    if not os.path.exists(token):
-        raise UnsupportedPresetError(
-            f"{token!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a file"
-        )
-    spec = read_presentation(token)
-    if order:
-        spec = dataclasses.replace(spec, order=tuple(order))
-    return from_presentation(spec)
-
-
 # -- the x, y, z elements ----------------------------------------------------
 
 
@@ -251,13 +251,18 @@ class XYZ:
         return {"x": self.x, "y": self.y, "z": self.z}
 
 
-def build_xyz(algebra: AlgebraPresentation) -> XYZ:
-    """x = V0*T1 + (V0*T1)^-1 and the companions from V1*T1 and T0*T1."""
+def _require_daha_generators(algebra: AlgebraPresentation, what: str):
     for name in ("T0", "T1", "V0", "V1"):
         if name not in algebra.alphabet.symbols:
             raise UnsupportedPresetError(
-                f"{algebra.name} has no generator {name}; x, y, z are undefined"
+                f"{algebra.name} has no generator {name}; {what} undefined"
             )
+
+
+def build_xyz(algebra: AlgebraPresentation) -> XYZ:
+    """x = V0*T1 + (V0*T1)^-1 and the companions from V1*T1 and T0*T1."""
+    _require_daha_generators(algebra, "x, y, z are")
+
     def pair(first, second):
         word = algebra.alphabet.word(first, second)
         return NCPoly.monomial(algebra.alphabet, algebra.ring, word) + algebra.inv_word(word)
@@ -285,6 +290,8 @@ class SemilinearMap:
     _word_images: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # the position each parameter's exponent moves to under the parameter action
+    _positions: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ring = self.algebra.ring
@@ -299,6 +306,8 @@ class SemilinearMap:
                 raise ValueError(
                     f"parameter action breaks invertibility at {src} -> {dst}"
                 )
+        positions = tuple(ring.index(self.param_map[name]) for name in ring.params)
+        object.__setattr__(self, "_positions", positions)
 
     def image(self, gen_name: str) -> NCPoly:
         return self.images[gen_name]
@@ -308,15 +317,14 @@ class SemilinearMap:
 
 
 def apply_param_map(coeff: LaurentPoly, phi: SemilinearMap) -> LaurentPoly:
-    ring = phi.algebra.ring
-    position = [ring.index(phi.param_map[name]) for name in ring.params]
+    position = phi._positions
     out = {}
     for exps, c in coeff.terms.items():
         moved = [0] * len(exps)
         for i, e in enumerate(exps):
             moved[position[i]] = e
         out[tuple(moved)] = c
-    return LaurentPoly(ring, out)
+    return LaurentPoly(phi.algebra.ring, out)
 
 
 def semilinear_apply(phi: SemilinearMap, p: NCPoly) -> NCPoly:
@@ -445,74 +453,57 @@ def q_symbol(algebra: AlgebraPresentation) -> str:
     return names[0]
 
 
-def _fixed_params_map(algebra: AlgebraPresentation, moves: Mapping[str, str]) -> dict:
-    out = {name: name for name in algebra.ring.params}
-    out.update(moves)
-    return out
+#: The four-cycle (Lemma 3.6) and the B3 generators b and c (Lemmas
+#: 4.2-4.3): each generator g maps to the image text, and the trace of g
+#: to the trace of the second generator.  Other parameters stay fixed.
+MAP_TABLES = {
+    "four_cycle": {"V0": ("T0", "T0"), "T0": ("V1", "V1"), "V1": ("T1", "T1"), "T1": ("V0", "V0")},
+    "b": {"V0": ("inv(T1)*V1*T1", "V1"), "T0": ("V0", "V0"), "V1": ("T0", "T0"), "T1": ("T1", "T1")},
+    "c": {
+        "V0": ("inv(T1)*V1*T1", "V1"),
+        "T0": ("V0*T0*inv(V0)", "T0"),
+        "V1": ("V0", "V0"),
+        "T1": ("T1", "T1"),
+    },
+}
+
+
+def _table_map(algebra: AlgebraPresentation, name: str) -> SemilinearMap:
+    """The map `name` of MAP_TABLES on `algebra`, its images as parsed."""
+    _require_daha_generators(algebra, f"the map {name} is")
+    images = {}
+    param_map = {param: param for param in algebra.ring.params}
+    for gen_name, (image, trace_of) in MAP_TABLES[name].items():
+        images[gen_name] = algebra.parse(image)
+        param_map[trace_symbol(algebra, gen_name)] = trace_symbol(algebra, trace_of)
+    return SemilinearMap(name, algebra, images, param_map)
 
 
 def four_cycle(algebra: AlgebraPresentation) -> SemilinearMap:
     """V0 -> T0 -> V1 -> T1 -> V0, with the induced trace-symbol cycle."""
-    images = {
-        "V0": algebra.gen("T0"),
-        "T0": algebra.gen("V1"),
-        "V1": algebra.gen("T1"),
-        "T1": algebra.gen("V0"),
-    }
-    moves = {}
-    for src, dst in (("V0", "T0"), ("T0", "V1"), ("V1", "T1"), ("T1", "V0")):
-        moves[trace_symbol(algebra, src)] = trace_symbol(algebra, dst)
-    return SemilinearMap("four_cycle", algebra, images, _fixed_params_map(algebra, moves))
-
-
-def conjugation_map(algebra: AlgebraPresentation, inverse: bool = False) -> SemilinearMap:
-    """h -> T1^-1 * h * T1 (or its inverse), parameters untouched."""
-    t1 = algebra.gen("T1")
-    t1_inv = algebra.inv_word(algebra.alphabet.word("T1"))
-    left, right = (t1, t1_inv) if inverse else (t1_inv, t1)
-    images = {
-        name: algebra.nf(left * algebra.gen(name) * right)
-        for name in algebra.alphabet.symbols
-    }
-    name = "conj_T1_inv" if inverse else "conj_T1"
-    return SemilinearMap(name, algebra, images, _fixed_params_map(algebra, {}))
+    return _table_map(algebra, "four_cycle")
 
 
 def braid_b_map(algebra: AlgebraPresentation) -> SemilinearMap:
     """V0 -> T1^-1*V1*T1, T0 -> V0, V1 -> T0, T1 -> T1; traces follow."""
-    t1 = algebra.gen("T1")
-    t1_inv = algebra.inv_word(algebra.alphabet.word("T1"))
-    images = {
-        "V0": t1_inv * algebra.gen("V1") * t1,
-        "T0": algebra.gen("V0"),
-        "V1": algebra.gen("T0"),
-        "T1": t1,
-    }
-    sym = {g: trace_symbol(algebra, g) for g in ("T0", "T1", "V0", "V1")}
-    moves = {
-        sym["V0"]: sym["V1"],
-        sym["T0"]: sym["V0"],
-        sym["V1"]: sym["T0"],
-        sym["T1"]: sym["T1"],
-    }
-    return SemilinearMap("b", algebra, images, _fixed_params_map(algebra, moves))
+    return _table_map(algebra, "b")
 
 
 def braid_c_map(algebra: AlgebraPresentation) -> SemilinearMap:
     """V0 -> T1^-1*V1*T1, T0 -> V0*T0*V0^-1, V1 -> V0, T1 -> T1."""
-    t1 = algebra.gen("T1")
-    t1_inv = algebra.inv_word(algebra.alphabet.word("T1"))
-    v0 = algebra.gen("V0")
-    v0_inv = algebra.inv_word(algebra.alphabet.word("V0"))
+    return _table_map(algebra, "c")
+
+
+def conjugation_map(algebra: AlgebraPresentation, inverse: bool = False) -> SemilinearMap:
+    """h -> T1^-1 * h * T1 (or its inverse), parameters untouched; the
+    images are reduced."""
+    pattern = "T1*{}*inv(T1)" if inverse else "inv(T1)*{}*T1"
     images = {
-        "V0": t1_inv * algebra.gen("V1") * t1,
-        "T0": v0 * algebra.gen("T0") * v0_inv,
-        "V1": v0,
-        "T1": t1,
+        name: algebra.nf(algebra.parse(pattern.format(name)))
+        for name in algebra.alphabet.symbols
     }
-    sym = {g: trace_symbol(algebra, g) for g in ("T0", "T1", "V0", "V1")}
-    moves = {sym["V0"]: sym["V1"], sym["V1"]: sym["V0"]}
-    return SemilinearMap("c", algebra, images, _fixed_params_map(algebra, moves))
+    name = "conj_T1_inv" if inverse else "conj_T1"
+    return SemilinearMap(name, algebra, images, {p: p for p in algebra.ring.params})
 
 
 # -- specialization ----------------------------------------------------------

@@ -34,9 +34,8 @@ from .algebras import (
     semilinear_apply,
     verify_map,
 )
+from .errors import ParseError
 from .ncpoly import NCPoly
-
-_LETTERS = frozenset("bBcCaA")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class BraidWord:
 
         Capitals are inverses, eliminated via b^-1 = a^-1 b^2 and
         c^-1 = a^-1 c; adjacent like syllables then merge modulo
-        b^3 = c^2 = a.
+        b^3 = c^2 = a.  Whitespace is skipped.
         """
         a_power = 0
         stack: list = []
@@ -87,7 +86,7 @@ class BraidWord:
             else:
                 stack.append("c")
 
-        for ch in letters:
+        for pos, ch in enumerate(letters):
             if ch == "a":
                 a_power += 1
             elif ch == "A":
@@ -102,13 +101,13 @@ class BraidWord:
             elif ch == "C":
                 a_power -= 1
                 push_c()
-            else:
-                raise ValueError(f"bad braid letter {ch!r}")
+            elif not ch.isspace():
+                raise ParseError(f"bad braid letter {ch!r}", pos)
         return cls(a_power, tuple(stack))
 
     @classmethod
     def parse(cls, text: str) -> "BraidWord":
-        return cls.from_letters(ch for ch in text if not ch.isspace())
+        return cls.from_letters(text)
 
     def letters(self) -> str:
         """Letter rendition; parsing it back reproduces the word."""
@@ -138,8 +137,6 @@ class BraidWord:
 def b3_normal_form(letters: Union[str, Iterable[str], BraidWord]) -> BraidWord:
     if isinstance(letters, BraidWord):
         return letters
-    if isinstance(letters, str):
-        return BraidWord.parse(letters)
     return BraidWord.from_letters(letters)
 
 

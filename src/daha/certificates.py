@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .coeffring import BaseRing, ParamRing
 from .errors import CertificateError, DahaError
 from .exprs import parse_expr
-from .ncpoly import Alphabet, NCPoly, TermOrder, canonical_hash
+from .ncpoly import Alphabet, NCPoly, TermOrder, canonical_hash, fnv1a64
 from .rewrite import (
     ReductionCertificate,
     ReductionStep,
@@ -193,9 +193,9 @@ def _replay_checked(cert: ReductionCertificate) -> int:
         ):
             raise CertificateError(f"step {index}: state mismatch")
 
-    final = NCPoly(alphabet, ring, terms)
-    if canonical_hash(final) != cert.final_hash:
+    final = NCPoly(alphabet, ring, terms).render()
+    if fnv1a64(final) != cert.final_hash:
         raise CertificateError("final hash mismatch")
-    if final.render() != cert.final:
+    if final != cert.final:
         raise CertificateError("final element does not match its rendering")
     return len(cert.steps)

@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .algebras import PRESET_NAMES, read_presentation, resolve_algebra
+from .algebras import PRESET_NAMES, presentation_spec, resolve_algebra
 from .braid import b3_act, b3_normal_form
 from .certificates import certificate_to_json, read_certificate, replay, write_json
 from .errors import DahaError
@@ -94,9 +94,9 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_braid_act(args) -> int:
+    word = b3_normal_form(args.word)
     alg = resolve_algebra(args.algebra, _parse_order(args.order))
     alg.complete(args.degree)
-    word = b3_normal_form(args.word)
     element = alg.parse(args.expr)
     result = b3_act(word, element, alg)
     print(f"algebra: {alg.name} (completed to degree {alg.system.confluence_degree})")
@@ -116,12 +116,11 @@ def _cmd_braid_act(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    override = None if args.algebra in PRESET_NAMES else read_presentation(args.algebra)
     result = run_suite(
         args.name,
         degree=args.degree,
         output=args.json,
-        override=override,
+        override=presentation_spec(args.algebra),
         order=_parse_order(args.order),
         verbose_cert=args.verbose_cert,
     )

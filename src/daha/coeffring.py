@@ -468,7 +468,8 @@ class LaurentPoly:
         sign, body = pieces[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
+            # a mixed cyclotomic constant such as -1 + s keeps its own sign
+            text += f" {sign} ({body})" if body.startswith("-") else f" {sign} {body}"
         if as_factor and (len(pieces) > 1 or text.startswith("-")):
             return f"({text})"
         return text

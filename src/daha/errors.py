@@ -53,8 +53,8 @@ class ExactDivisionError(DahaError):
     """An exact division had a nonzero remainder."""
 
 
-class ParseError(DahaError):
-    """An expression failed to parse; carries the offending position."""
+class ParseError(DahaError, ValueError):
+    """A text failed to parse; carries the offending position."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")

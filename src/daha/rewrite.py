@@ -37,7 +37,7 @@ from .errors import (
     InsufficientCompletionError,
     OrientationError,
 )
-from .ncpoly import Alphabet, NCPoly, TermOrder, Word, canonical_hash
+from .ncpoly import Alphabet, NCPoly, TermOrder, Word, fnv1a64
 
 log = logging.getLogger("daha")
 
@@ -357,6 +357,7 @@ class RewriteSystem:
             for step in steps:
                 step_in_place(terms, step, self.rules, self.alphabet)
                 states.append(NCPoly(self.alphabet, self.ring, terms).render())
+        initial, final = p.render(), nf.render()
         cert = ReductionCertificate(
             algebra=self.describe(),
             order=self.order.precedence,
@@ -364,11 +365,11 @@ class RewriteSystem:
                 (r.id, self.alphabet.render_word(r.lhs), r.rhs.render())
                 for r in self.sorted_rules()
             ),
-            initial=p.render(),
-            initial_hash=canonical_hash(p),
+            initial=initial,
+            initial_hash=fnv1a64(initial),
             steps=steps,
-            final=nf.render(),
-            final_hash=canonical_hash(nf),
+            final=final,
+            final_hash=fnv1a64(final),
             confluence_degree=self.confluence_degree,
             states=tuple(states) if states is not None else None,
         )

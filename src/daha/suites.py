@@ -10,7 +10,6 @@ deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import time
@@ -19,7 +18,6 @@ from typing import Optional
 
 from .algebras import (
     PRESET_NAMES,
-    PRESET_TEXTS,
     AlgebraPresentation,
     aw_form_extract,
     aw_rhs,
@@ -29,7 +27,9 @@ from .algebras import (
     four_cycle,
     from_presentation,
     map_power,
+    presentation_spec,
     q_symbol,
+    reordered,
     semilinear_apply,
     specialize_presentation,
     trace_symbol,
@@ -44,8 +44,8 @@ from .coeffring import (
     divide_exact,
     monomial_inverse,
 )
-from .errors import DahaError
-from .exprs import PresentationSpec, load_presentation
+from .errors import DahaError, PresentationError
+from .exprs import PresentationSpec
 from .ncpoly import NCPoly
 
 SUITE_NAMES = (
@@ -122,9 +122,11 @@ class SuiteResult:
 class Workspace:
     """Completed algebras shared across the checks of one run.
 
-    `override` swaps a presentation file in for the preset of the same
-    name (an unrecognized name replaces UDAHA_model, so a deliberately
-    broken variant exercises the main suites as a negative control).
+    `override` swaps a presentation in for the preset of the same name
+    (an unrecognized name replaces UDAHA_model, so a deliberately broken
+    variant exercises the main suites as a negative control).  `order`
+    applies to each algebra whose generators it permutes, and must
+    permute those of at least one.
     """
 
     def __init__(
@@ -134,31 +136,26 @@ class Workspace:
         order: Optional[tuple] = None,
     ):
         self.degree = degree
-        self.override = override
         self.order = tuple(order) if order else None
         self._cache: dict = {}
-        self._override_target = None
+        self._specs = {name: presentation_spec(name) for name in PRESET_NAMES}
         if override is not None:
-            self._override_target = (
-                override.name if override.name in PRESET_NAMES else "UDAHA_model"
-            )
+            target = override.name if override.name in PRESET_NAMES else "UDAHA_model"
+            self._specs[target] = override
+        if self.order and not any(map(self._order_for, self._specs.values())):
+            raise PresentationError("precedence must permute the alphabet")
 
-    def _order_for(self, symbols) -> Optional[tuple]:
-        if self.order and sorted(self.order) == sorted(symbols):
+    def _order_for(self, spec: PresentationSpec) -> Optional[tuple]:
+        """The run's order, if it permutes the generators of `spec`."""
+        if self.order and sorted(self.order) == sorted(spec.generators):
             return self.order
         return None
 
     def algebra(self, name: str) -> AlgebraPresentation:
         if name in self._cache:
             return self._cache[name]
-        if name == self._override_target:
-            spec = self.override
-        else:
-            spec = load_presentation(PRESET_TEXTS[name])
-        forced = self._order_for(spec.generators)
-        if forced:
-            spec = dataclasses.replace(spec, order=forced)
-        alg = from_presentation(spec)
+        spec = self._specs[name]
+        alg = from_presentation(reordered(spec, self._order_for(spec)))
         alg.complete(self.degree)
         self._cache[name] = alg
         return alg
@@ -342,17 +339,22 @@ def _cyclic_triples(xyz):
         yield a1, a2, target, elems[a1], elems[a2], elems[target]
 
 
-def _suite_thm5_2(col: _Collector, ws: Workspace):
-    alg = ws.algebra("UDAHA_model")
-    xyz = build_xyz(alg)
-    qv = alg.param("Q")
+def _cleared_relations(alg: AlgebraPresentation, qv):
+    """Theorem 5.2 with q - q^-1 cleared from the denominators: for each
+    cyclic triple, (target, product, e3, spread, rhs) with the relation
+    product + spread*e3 = rhs, where product = q*e1*e2 - q^-1*e2*e1 and
+    spread = q^2 - q^-2."""
     qi = monomial_inverse(qv)
     spread = qv * qv - qi * qi
-    cleared = qv - qi
-    for a1, a2, target, e1, e2, e3 in _cyclic_triples(xyz):
-        lhs = alg.scalar(qv) * e1 * e2 - alg.scalar(qi) * e2 * e1 + e3.scale(spread)
-        rhs = aw_rhs(alg, target, q=qv).scale(cleared)
-        col.check(f"thm5.2/relation-{target}", alg, lhs, rhs)
+    for _, _, target, e1, e2, e3 in _cyclic_triples(build_xyz(alg)):
+        product = alg.scalar(qv) * e1 * e2 - alg.scalar(qi) * e2 * e1
+        yield target, product, e3, spread, aw_rhs(alg, target, q=qv).scale(qv - qi)
+
+
+def _suite_thm5_2(col: _Collector, ws: Workspace):
+    alg = ws.algebra("UDAHA_model")
+    for target, product, e3, spread, rhs in _cleared_relations(alg, alg.param("Q")):
+        col.check(f"thm5.2/relation-{target}", alg, product + e3.scale(spread), rhs)
 
 
 def _suite_thm2_4(col: _Collector, ws: Workspace):
@@ -394,19 +396,11 @@ def _suite_thm2_4(col: _Collector, ws: Workspace):
                 aw_rhs(spec4, target, q=s).scale(two),
             )
 
-    qv = generic.param("q")
-    qi = monomial_inverse(qv)
-    spread = qv * qv - qi * qi
-    cleared = qv - qi
-    for a1, a2, target, e1, e2, e3 in _cyclic_triples(xyz):
-        lhs = generic.scalar(qv) * e1 * e2 - generic.scalar(qi) * e2 * e1 + e3.scale(spread)
-        rhs = aw_rhs(generic, target, q=qv).scale(cleared)
-        col.check(f"thm2.4/iv/relation-{target}", generic, lhs, rhs)
+    for target, product, e3, spread, rhs in _cleared_relations(generic, generic.param("q")):
+        col.check(f"thm2.4/iv/relation-{target}", generic, product + e3.scale(spread), rhs)
         name = f"thm2.4/iv/division-{target}"
         try:
-            residual = generic.nf(
-                rhs - generic.scalar(qv) * e1 * e2 + generic.scalar(qi) * e2 * e1
-            )
+            residual = generic.nf(rhs - product)
             quotient = NCPoly.from_terms(
                 generic.alphabet,
                 generic.ring,

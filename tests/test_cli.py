@@ -264,6 +264,23 @@ def test_unknown_algebra_token(capsys):
     assert "NoSuchThing" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("braid-act", "x", "T0"),
+    ("braid-act", "bX", "T0"),
+    ("braid-act", "b", "u", "--algebra", "CentralPair"),
+    ("suite", "lemma3.7", "--order", "T0,T1"),
+    ("suite", "lemma3.7", "--algebra", "nope"),
+])
+def test_bad_braid_and_suite_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--degree", "4")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+    if "nope" in argv:
+        _, _, reduce_err = run(capsys, "reduce", "T0", "--algebra", "nope")
+        assert err == reduce_err
+
+
 def test_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "daha.cli", "reduce", "V0*V0*T0*V1*T1",

@@ -293,6 +293,14 @@ def test_render_round_trips(ring):
     round_trip()
 
 
+def test_mixed_cyclotomic_constant_after_a_term_round_trips():
+    s = CYC4.scalar(CYC4.base.generator())
+    coeff = CYC4.param("Q") * s + s - CYC4.scalar(1)
+    p = NCPoly.from_terms(AB, CYC4, {(): coeff})
+    assert p.render() == "(s*Q + (-1 + s))"
+    assert parse_expr(p.render(), AB, CYC4) == p
+
+
 PIECES = [
     "T0", "T1", "V0", "V1", "Q", "cT0", "s", "inv", "x", "0", "1", "2", "3", "9" * 30,
     "+", "-", "*", "^", "/", "(", ")", " ", "\t", "(" * 40, "^-", "^99999999999",

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from daha import SUITE_NAMES, Workspace, load_presentation, replay, run_suite
+from daha import SUITE_NAMES, PresentationError, Workspace, load_presentation, replay, run_suite
 from daha import read_certificate
 
 
@@ -51,6 +51,14 @@ def test_workspace_caches_algebras():
     assert ws.algebra("UDAHA_model") is ws.algebra("UDAHA_model")
     spec1 = ws.specialized("H_q1")
     assert spec1.nf(spec1.parse("V0*T0*V1*T1")) == spec1.one()
+
+
+def test_workspace_order_applies_where_it_fits():
+    ws = Workspace(degree=4, order=("v", "u"))
+    assert ws.algebra("CentralPair").system.order.precedence == ("v", "u")
+    assert ws.algebra("UDAHA_model").system.order.precedence == ("T0", "T1", "V0", "V1")
+    with pytest.raises(PresentationError):
+        Workspace(order=("T0", "T1"))
 
 
 def test_override_replaces_the_model(data_dir):
