@@ -58,6 +58,7 @@ from .errors import (
     CertificateError,
     DahaError,
     ExactDivisionError,
+    ExponentRangeError,
     IncompatibleRingError,
     InsufficientCompletionError,
     NotAUnitError,

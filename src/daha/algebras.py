@@ -33,6 +33,7 @@ from .coeffring import (
     ParamRing,
     divide_exact,
     monomial_inverse,
+    permute_params,
     specialize,
 )
 from .errors import (
@@ -290,8 +291,12 @@ class SemilinearMap:
     _word_images: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # the position each parameter's exponent moves to under the parameter action
-    _positions: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # for each parameter, the one whose exponent the parameter action moves to it
+    _sources: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # exponent keys met so far and their images under the parameter action
+    _key_images: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         ring = self.algebra.ring
@@ -306,8 +311,9 @@ class SemilinearMap:
                 raise ValueError(
                     f"parameter action breaks invertibility at {src} -> {dst}"
                 )
-        positions = tuple(ring.index(self.param_map[name]) for name in ring.params)
-        object.__setattr__(self, "_positions", positions)
+        inverse = {dst: src for src, dst in self.param_map.items()}
+        sources = tuple(ring.index(inverse[name]) for name in ring.params)
+        object.__setattr__(self, "_sources", sources)
 
     def image(self, gen_name: str) -> NCPoly:
         return self.images[gen_name]
@@ -317,14 +323,7 @@ class SemilinearMap:
 
 
 def apply_param_map(coeff: LaurentPoly, phi: SemilinearMap) -> LaurentPoly:
-    position = phi._positions
-    out = {}
-    for exps, c in coeff.terms.items():
-        moved = [0] * len(exps)
-        for i, e in enumerate(exps):
-            moved[position[i]] = e
-        out[tuple(moved)] = c
-    return LaurentPoly(phi.algebra.ring, out)
+    return permute_params(coeff, phi._sources, phi._key_images)
 
 
 def semilinear_apply(phi: SemilinearMap, p: NCPoly) -> NCPoly:
@@ -413,12 +412,7 @@ def verify_map(phi: SemilinearMap, algebra: AlgebraPresentation) -> MapReport:
 
 def trace_symbol(algebra: AlgebraPresentation, gen_name: str) -> str:
     """The unique parameter symbol occurring in a generator's trace."""
-    trace = algebra.trace(gen_name)
-    seen = set()
-    for exps in trace.terms:
-        for i, e in enumerate(exps):
-            if e != 0:
-                seen.add(algebra.ring.params[i])
+    seen = algebra.trace(gen_name).symbols()
     if len(seen) != 1:
         raise UnsupportedPresetError(
             f"trace of {gen_name} does not carry a single parameter symbol"
@@ -445,12 +439,10 @@ def q_value(algebra: AlgebraPresentation) -> LaurentPoly:
 
 
 def q_symbol(algebra: AlgebraPresentation) -> str:
-    value = q_value(algebra)
-    exps = next(iter(value.terms))
-    names = [algebra.ring.params[i] for i, e in enumerate(exps) if e != 0]
+    names = q_value(algebra).symbols()
     if len(names) != 1:
         raise UnsupportedPresetError("product axiom carries no single q symbol")
-    return names[0]
+    return names.pop()
 
 
 #: The four-cycle (Lemma 3.6) and the B3 generators b and c (Lemmas

@@ -18,16 +18,31 @@ A :class:`ParamRing` fixes a base ring together with an ordered list of
 parameter symbols, each flagged invertible or plain.  Negative exponents
 are only ever carried by invertible symbols, so ring elements stay
 honest Laurent polynomials.
+
+A term's exponent vector is one `int` key, packed and unpacked only by
+this module.  Each parameter has a `SLOT_BITS`-wide slot, the first
+parameter the highest, holding its exponent plus `EXPONENT_LIMIT` (the
+ring's `bias` holds that offset in every slot).  Exponents run from
+-EXPONENT_LIMIT to EXPONENT_LIMIT - 1, so each slot of a valid key is
+nonnegative with its top (guard) bit clear; hence integer order on keys
+is lexicographic order on the vectors, the order `render` sorts terms
+in.  `k1 + k2 - bias` adds two vectors and `2*bias - k` negates one; a
+slot that leaves the range sets its guard bit (one that goes negative
+borrows, and sets it too), so one `&` with the ring's `guard` checks a
+result, and an exponent out of range raises :class:`ExponentRangeError`,
+never wraps.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
 from .errors import (
     ExactDivisionError,
+    ExponentRangeError,
     IncompatibleRingError,
     NotAUnitError,
     UnitViolationError,
@@ -38,6 +53,14 @@ _CYCLO_DEGREE = {1: 1, 2: 1, 4: 2}
 
 #: residue of the distinguished generator s in the degree-one quotients
 _CYCLO_S_VALUE = {1: 1, 2: -1}
+
+#: bits per slot of an exponent key, the top one the guard; 32 lets `unpack` use `struct`
+SLOT_BITS = 32
+
+#: exponents run from -EXPONENT_LIMIT to EXPONENT_LIMIT - 1 (a slot holds e + EXPONENT_LIMIT)
+EXPONENT_LIMIT = 1 << (SLOT_BITS - 2)
+
+_OUT_OF_RANGE = f"parameter exponent outside {-EXPONENT_LIMIT}..{EXPONENT_LIMIT - 1}"
 
 
 def _rational(q) -> Union[int, Fraction]:
@@ -115,11 +138,7 @@ class BaseRing:
         return BaseRing("cyclotomic", n)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BaseRing)
-            and self.kind == other.kind
-            and self.n == other.n
-        )
+        return isinstance(other, BaseRing) and (self.kind, self.n) == (other.kind, other.n)
 
     def __hash__(self):
         return hash((self.kind, self.n))
@@ -181,9 +200,7 @@ class BaseRing:
             return a
         if source.kind == "rationals":
             return self.from_fraction(a)
-        raise IncompatibleRingError(
-            f"no embedding of {source.describe()} into {self.describe()}"
-        )
+        raise IncompatibleRingError(f"no embedding of {source.describe()} into {self.describe()}")
 
     # -- rendering helpers --------------------------------------------------
 
@@ -225,9 +242,11 @@ class ParamRing:
 
     `invertible` marks which symbols may carry negative exponents.  Two
     rings are compatible only when base, names, order and flags all agree.
+    It fixes the layout of exponent keys (see the module docstring): `bias`
+    is the key of the zero vector, `guard` has the guard bit of each slot set.
     """
 
-    __slots__ = ("base", "params", "invertible", "_index")
+    __slots__ = ("base", "params", "invertible", "_index", "bias", "guard", "_codec")
 
     def __init__(self, base: BaseRing, params: Sequence[tuple[str, bool]]):
         names = tuple(name for name, _ in params)
@@ -240,23 +259,20 @@ class ParamRing:
         self.params = names
         self.invertible = tuple(bool(flag) for _, flag in params)
         self._index = {name: i for i, name in enumerate(names)}
+        self.bias = sum(EXPONENT_LIMIT << SLOT_BITS * i for i in range(len(names)))
+        self.guard = self.bias << 1
+        self._codec = struct.Struct(f">{len(names)}i")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ParamRing)
-            and self.base == other.base
-            and self.params == other.params
-            and self.invertible == other.invertible
+        return isinstance(other, ParamRing) and (self.base, self.params, self.invertible) == (
+            other.base, other.params, other.invertible
         )
 
     def __hash__(self):
         return hash((self.base, self.params, self.invertible))
 
     def __repr__(self):
-        parts = [
-            name + (" inv" if flag else "")
-            for name, flag in zip(self.params, self.invertible)
-        ]
+        parts = [name + (" inv" if flag else "") for name, flag in zip(self.params, self.invertible)]
         return f"ParamRing({self.base.describe()}; {', '.join(parts)})"
 
     def index(self, name: str) -> int:
@@ -268,14 +284,27 @@ class ParamRing:
     def is_invertible(self, name: str) -> bool:
         return self.invertible[self.index(name)]
 
-    def _check_exponents(self, exps: tuple[int, ...]):
+    def _check(self, i: int, e: int):
+        if e < 0 and not self.invertible[i]:
+            raise NotAUnitError(f"negative exponent on plain symbol {self.params[i]!r}")
+        if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT:
+            raise ExponentRangeError(_OUT_OF_RANGE)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The key of an exponent vector, checked for length, sign and range."""
         if len(exps) != len(self.params):
             raise IncompatibleRingError("exponent vector has the wrong length")
+        key = 0
         for i, e in enumerate(exps):
-            if e < 0 and not self.invertible[i]:
-                raise NotAUnitError(
-                    f"negative exponent on plain symbol {self.params[i]!r}"
-                )
+            self._check(i, e)
+            key = (key << SLOT_BITS) + e + EXPONENT_LIMIT
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a key.  Adding `bias` makes each slot e + 2^31,
+        with no carry; flipping the guard bits then leaves e in two's complement."""
+        codec = self._codec
+        return codec.unpack(((key + self.bias) ^ self.guard).to_bytes(codec.size, "big"))
 
     # -- constructors -------------------------------------------------------
 
@@ -290,32 +319,31 @@ class ParamRing:
         value = self.base.element(value)
         if not value:
             return LaurentPoly(self, {})
-        return LaurentPoly(self, {(0,) * len(self.params): value})
+        return LaurentPoly(self, {self.bias: value})
 
     def param(self, name: str, power: int = 1) -> "LaurentPoly":
         i = self.index(name)
-        exps = tuple(power if j == i else 0 for j in range(len(self.params)))
-        self._check_exponents(exps)
-        return LaurentPoly(self, {exps: self.base.one()})
+        self._check(i, power)
+        shift = SLOT_BITS * (len(self.params) - 1 - i)
+        return LaurentPoly(self, {self.bias + (power << shift): self.base.one()})
 
     def poly(self, terms: Mapping[tuple[int, ...], object]) -> "LaurentPoly":
         """Build from an exponent-vector map, validating and dropping zeros."""
-        out: dict[tuple[int, ...], Scalar] = {}
+        out: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
-            exps = tuple(exps)
-            self._check_exponents(exps)
+            key = self.pack(exps)
             coeff = self.base.element(coeff)
             if coeff:
-                out[exps] = coeff
+                out[key] = coeff
         return LaurentPoly(self, out)
 
 
 class LaurentPoly:
     """A sparse Laurent polynomial over a :class:`ParamRing`.
 
-    The term map is canonical: no explicit zero coefficients are stored,
-    so structural equality is ring equality plus term-map equality.
-    Instances are treated as immutable.
+    The term map, from exponent key to nonzero coefficient, is canonical:
+    no explicit zero coefficients are stored, so structural equality is
+    ring equality plus term-map equality.  Instances are treated as immutable.
     """
 
     __slots__ = ("ring", "terms")
@@ -337,10 +365,13 @@ class LaurentPoly:
         (base coefficients are field elements, hence always invertible)."""
         if len(self.terms) != 1:
             return False
-        exps = next(iter(self.terms))
-        return all(
-            e == 0 or self.ring.invertible[i] for i, e in enumerate(exps)
-        )
+        exps = self.ring.unpack(next(iter(self.terms)))
+        return all(e == 0 or flag for e, flag in zip(exps, self.ring.invertible))
+
+    def symbols(self) -> set[str]:
+        """The parameters with a nonzero exponent in some term."""
+        params, unpack = self.ring.params, self.ring.unpack
+        return {name for key in self.terms for name, e in zip(params, unpack(key)) if e}
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -391,19 +422,23 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Scalar] = {}
+        bias, guard = self.ring.bias, self.ring.guard
+        out: dict[int, Scalar] = {}
         get = out.get
         right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                exps = tuple(map(add, e1, e2))
+        for k1, c1 in self.terms.items():
+            k1 -= bias
+            for k2, c2 in right:
+                key = k1 + k2
+                if key & guard:
+                    raise ExponentRangeError(_OUT_OF_RANGE)
                 c = c1 * c2  # nonzero: the base rings are fields
-                old = get(exps)
+                old = get(key)
                 s = c if old is None else old + c
                 if s:
-                    out[exps] = s
+                    out[key] = s
                 else:
-                    del out[exps]
+                    del out[key]
         return LaurentPoly(self.ring, out)
 
     __rmul__ = __mul__
@@ -413,14 +448,12 @@ class LaurentPoly:
             return NotImplemented
         if power < 0:
             return monomial_inverse(self) ** (-power)
-        result = self.ring.one()
-        square = self
-        e = power
-        while e:
-            if e & 1:
+        result, square = self.ring.one(), self
+        while power:
+            if power & 1:
                 result = result * square
-            e >>= 1
-            if e:
+            power >>= 1
+            if power:
                 square = square * square
         return result
 
@@ -444,19 +477,17 @@ class LaurentPoly:
         """
         if not self.terms:
             return "0"
-        base = self.ring.base
+        base, params, unpack = self.ring.base, self.ring.params, self.ring.unpack
         pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
             negative = base.is_negative(c)
             if negative:
                 c = -c
             syms = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = self.ring.params[i]
-                syms.append(name if e == 1 else f"{name}^{e}")
+            for name, e in zip(params, unpack(key)):
+                if e:
+                    syms.append(name if e == 1 else f"{name}^{e}")
             coeff_txt = base.render(c, as_factor=bool(syms))
             if syms and coeff_txt == "1":
                 body = "*".join(syms)
@@ -484,15 +515,30 @@ def monomial_inverse(p: LaurentPoly) -> LaurentPoly:
     Raises :class:`NotAUnitError` for anything that is not a single term
     supported on invertible symbols.
     """
-    if len(p.terms) != 1:
-        raise NotAUnitError("only single-term monomials can be inverted")
-    exps, c = next(iter(p.terms.items()))
-    for i, e in enumerate(exps):
-        if e != 0 and not p.ring.invertible[i]:
-            raise NotAUnitError(
-                f"symbol {p.ring.params[i]!r} is not invertible"
-            )
-    return LaurentPoly(p.ring, {tuple(map(neg, exps)): p.ring.base.inv(c)})
+    if not p.is_unit():
+        raise NotAUnitError("only a single term in invertible symbols can be inverted")
+    ((key, c),) = p.terms.items()
+    ring = p.ring
+    key = 2 * ring.bias - key
+    if key & ring.guard:
+        raise ExponentRangeError(_OUT_OF_RANGE)
+    return LaurentPoly(ring, {key: ring.base.inv(c)})
+
+
+def permute_params(p: LaurentPoly, sources: Sequence[int], memo: dict) -> LaurentPoly:
+    """`p` with the exponent of parameter `sources[j]` moved to parameter j,
+    for a permutation that keeps each parameter's flag, so that no image
+    leaves the range.  `memo` maps the keys met by earlier calls with the
+    same `sources` to their images, and gains the keys of `p`."""
+    ring = p.ring
+    out = {}
+    for key, c in p.terms.items():
+        moved = memo.get(key)
+        if moved is None:
+            exps = ring.unpack(key)
+            moved = memo[key] = ring.pack([exps[i] for i in sources])
+        out[moved] = c
+    return LaurentPoly(ring, out)
 
 
 def specialize(
@@ -507,46 +553,24 @@ def specialize(
     """
     source = p.ring
     values: dict[str, LaurentPoly] = {}
-    inverses: dict[str, LaurentPoly] = {}
     for name, value in assignment.items():
-        i = source.index(name)
         if value.ring is not target and value.ring != target:
-            raise IncompatibleRingError(
-                f"assigned value for {name!r} lives in the wrong ring"
-            )
-        if source.invertible[i]:
-            if not value.is_unit():
-                raise UnitViolationError(
-                    f"invertible symbol {name!r} must map to a unit"
-                )
-            inverses[name] = monomial_inverse(value)
+            raise IncompatibleRingError(f"assigned value for {name!r} lives in the wrong ring")
+        if source.is_invertible(name) and not value.is_unit():
+            raise UnitViolationError(f"invertible symbol {name!r} must map to a unit")
         values[name] = value
-    retained: dict[str, int] = {}
-    for i, name in enumerate(source.params):
-        if name in values:
-            continue
-        j = target.index(name)  # raises for symbols the target lacks
-        if source.invertible[i] and not target.invertible[j]:
-            raise UnitViolationError(
-                f"retained symbol {name!r} loses invertibility in the target"
-            )
-        retained[name] = j
+    for name, flag in zip(source.params, source.invertible):
+        if name not in values:
+            values[name] = target.param(name)  # raises if the target lacks it
+            if flag and not target.is_invertible(name):
+                raise UnitViolationError(f"retained symbol {name!r} is plain in the target")
 
     result = target.zero()
-    for exps, c in p.terms.items():
+    for key, c in p.terms.items():
         term = target.scalar(target.base.coerce(source.base, c))
-        mono = [0] * len(target.params)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = source.params[i]
-            if name in values:
-                factor = values[name] if e > 0 else inverses[name]
-                term = term * factor ** abs(e)
-            else:
-                mono[retained[name]] += e
-        if any(mono):
-            term = term * LaurentPoly(target, {tuple(mono): target.base.one()})
+        for name, e in zip(source.params, source.unpack(key)):
+            if e:
+                term = term * values[name] ** e
         result = result + term
     return result
 
@@ -563,13 +587,15 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if d.is_zero():
         raise ExactDivisionError("division by zero")
     ring = p.ring
+    p_terms = {ring.unpack(key): c for key, c in p.terms.items()}
+    d_terms = {ring.unpack(key): c for key, c in d.terms.items()}
     # full per-coordinate minimum, so the shifted poly has a zero exponent
     # in every coordinate; monomial shifts are units in the Laurent ring,
     # hence exactness is unaffected
-    sp = tuple(map(min, zip(*p.terms)))
-    sd = tuple(map(min, zip(*d.terms)))
-    rem = {tuple(map(sub, exps, sp)): c for exps, c in p.terms.items()}
-    den = {tuple(map(sub, exps, sd)): c for exps, c in d.terms.items()}
+    sp = tuple(map(min, zip(*p_terms)))
+    sd = tuple(map(min, zip(*d_terms)))
+    rem = {tuple(map(sub, exps, sp)): c for exps, c in p_terms.items()}
+    den = {tuple(map(sub, exps, sd)): c for exps, c in d_terms.items()}
 
     def grlex(e):
         return (sum(e), e)
@@ -595,9 +621,7 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
                 del rem[key]
     unshift = tuple(map(sub, sp, sd))
     try:
-        return ring.poly(
-            {tuple(map(add, exps, unshift)): c for exps, c in quotient.items()}
-        )
+        return ring.poly({tuple(map(add, exps, unshift)): c for exps, c in quotient.items()})
     except NotAUnitError:
         # exact in the Laurent extension but not in this ring
         raise ExactDivisionError("quotient leaves the ring") from None

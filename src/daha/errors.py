@@ -53,6 +53,10 @@ class ExactDivisionError(DahaError):
     """An exact division had a nonzero remainder."""
 
 
+class ExponentRangeError(DahaError):
+    """A parameter exponent left the range that a packed exponent key holds."""
+
+
 class ParseError(DahaError, ValueError):
     """A text failed to parse; carries the offending position."""
 

@@ -35,7 +35,8 @@ Input budgets keep hostile text from crashing or exhausting the
 process: `MAX_NESTING` bounds parentheses, `MAX_TERMS` every product
 and every sum, `MAX_DEGREE` the word length of every term built, and
 `MAX_DIGITS` integer literals and every scalar a power, product or sum
-makes.  Each refusal is a `ParseError`.
+makes, and `coeffring.EXPONENT_LIMIT` every parameter exponent that a
+power or product makes.  Each refusal is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .coeffring import BaseRing, LaurentPoly, ParamRing, monomial_inverse
-from .errors import ParseError, PresentationError
+from .errors import ExponentRangeError, ParseError, PresentationError
 from .ncpoly import Alphabet, NCPoly, add_terms
 
 #: deepest parenthesis nesting accepted, well inside Python's recursion limit
@@ -217,10 +218,13 @@ class _Parser:
             if c is not None:
                 if coeff is None:
                     coeff = c
-                elif plain:
-                    coeff = coeff * c
                 else:
-                    coeff = _bounded(coeff * c, pos)
+                    try:
+                        coeff = coeff * c
+                    except ExponentRangeError as exc:
+                        raise ParseError(str(exc), pos) from None
+                    if not plain:
+                        _bounded(coeff, pos)
             if tokens[at][0] != "*":
                 break
             at += 1
@@ -358,30 +362,33 @@ class _Parser:
         return out
 
     def scalar_power(self, c: LaurentPoly, exponent: int, pos: int) -> LaurentPoly:
-        """`c ** exponent` within the digit and term budgets."""
-        if exponent < 0:
-            if not c.is_unit():
-                raise ParseError("negative powers apply to unit scalars only", pos)
-            c, exponent = monomial_inverse(c), -exponent
-        if c is self.one:
-            return c
-        digits = _digits_per_power(c)
-        if digits and exponent >= MAX_DIGITS / digits:
-            raise ParseError(f"power exceeds {MAX_DIGITS} digits", pos)
-        if len(c.terms) == 1:
-            return c ** exponent
-        result, square = self.one, c
-        while True:
-            if exponent & 1:
-                if len(result.terms) * len(square.terms) > MAX_TERMS:
+        """`c ** exponent` within the digit, term and exponent budgets."""
+        try:
+            if exponent < 0:
+                if not c.is_unit():
+                    raise ParseError("negative powers apply to unit scalars only", pos)
+                c, exponent = monomial_inverse(c), -exponent
+            if c is self.one:
+                return c
+            digits = _digits_per_power(c)
+            if digits and exponent >= MAX_DIGITS / digits:
+                raise ParseError(f"power exceeds {MAX_DIGITS} digits", pos)
+            if len(c.terms) == 1:
+                return c ** exponent
+            result, square = self.one, c
+            while True:
+                if exponent & 1:
+                    if len(result.terms) * len(square.terms) > MAX_TERMS:
+                        raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
+                    result = result * square
+                exponent >>= 1
+                if not exponent:
+                    return result
+                if len(square.terms) ** 2 > MAX_TERMS:
                     raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
-                result = result * square
-            exponent >>= 1
-            if not exponent:
-                return result
-            if len(square.terms) ** 2 > MAX_TERMS:
-                raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
-            square = square * square
+                square = square * square
+        except ExponentRangeError as exc:
+            raise ParseError(str(exc), pos) from None
 
     def multiply(self, left: dict, right: dict, pos: int) -> dict:
         if len(left) * len(right) > MAX_TERMS:
@@ -389,7 +396,10 @@ class _Parser:
         if left and right and max(map(len, left)) + max(map(len, right)) > MAX_DEGREE:
             raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
         out: dict = {}
-        add_terms(out, [(w1 + w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right.items()])
+        try:
+            add_terms(out, [(w1 + w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right.items()])
+        except ExponentRangeError as exc:
+            raise ParseError(str(exc), pos) from None
         for c in out.values():
             _bounded(c, pos)
         return out

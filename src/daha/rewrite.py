@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .coeffring import ParamRing, monomial_inverse
@@ -50,6 +51,11 @@ class RewriteRule:
     id: int
     lhs: Word
     rhs: NCPoly
+
+    @cached_property
+    def text(self) -> tuple[str, str]:
+        """The rendered lhs and rhs, as certificates list them; rendered once."""
+        return self.rhs.alphabet.render_word(self.lhs), self.rhs.render()
 
     def render(self, alphabet: Alphabet) -> str:
         return f"{alphabet.render_word(self.lhs)} -> {self.rhs.render()}"
@@ -361,10 +367,7 @@ class RewriteSystem:
         cert = ReductionCertificate(
             algebra=self.describe(),
             order=self.order.precedence,
-            rules=tuple(
-                (r.id, self.alphabet.render_word(r.lhs), r.rhs.render())
-                for r in self.sorted_rules()
-            ),
+            rules=tuple((r.id, *r.text) for r in self.sorted_rules()),
             initial=initial,
             initial_hash=fnv1a64(initial),
             steps=steps,

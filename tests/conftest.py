@@ -14,6 +14,7 @@ import pytest
 from daha import (
     AlgebraPresentation,
     AlphabetMismatchError,
+    LaurentPoly,
     NCPoly,
     RewriteSystem,
     UnsupportedPresetError,
@@ -71,6 +72,74 @@ def word_compare(u, v, order) -> int:
     if any(not (0 <= g < n) for g in u + v):
         raise AlphabetMismatchError("word does not fit the order's alphabet")
     return order.compare(u, v)
+
+
+def exponent_terms(c: LaurentPoly) -> dict:
+    """The term map of a coefficient keyed by exponent vectors."""
+    return {c.ring.unpack(key): x for key, x in c.terms.items()}
+
+
+# -- tuple-exponent reference for the coefficient kernel ---------------------------
+
+class TupleLaurent:
+    """A Laurent polynomial keyed by plain exponent tuples, with unbounded
+    exponents: the reference that packed-key arithmetic must agree with."""
+
+    def __init__(self, ring, terms: dict):
+        self.ring = ring
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] + c if e in out else c
+        return TupleLaurent(self.ring, out)
+
+    def __neg__(self):
+        return TupleLaurent(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+                if not out[e]:
+                    del out[e]
+        return TupleLaurent(self.ring, out)
+
+    def __pow__(self, k: int):
+        result = TupleLaurent(self.ring, {(0,) * len(self.ring.params): self.ring.base.one()})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def inverse(self):
+        ((e, c),) = self.terms.items()
+        return TupleLaurent(self.ring, {tuple(-x for x in e): self.ring.base.inv(c)})
+
+    def in_range(self, limit: int) -> bool:
+        return all(-limit <= x < limit for e in self.terms for x in e)
+
+    def render(self) -> str:
+        """The packed kernel's text form, from tuple exponents sorted directly."""
+        if not self.terms:
+            return "0"
+        base, parts = self.ring.base, []
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
+            sign = "-" if base.is_negative(c) else "+"
+            syms = [n if x == 1 else f"{n}^{x}" for n, x in zip(self.ring.params, e) if x]
+            coeff = base.render(-c if sign == "-" else c, as_factor=bool(syms))
+            body = "*".join(([] if syms and coeff == "1" else [coeff]) + syms)
+            parts.append((sign, body))
+        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        for sign, body in parts[1:]:
+            text += f" {sign} ({body})" if body.startswith("-") else f" {sign} {body}"
+        return text
 
 
 # -- deterministic random elements -------------------------------------------

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daha import (
     RATIONALS,
     BaseRing,
     ExactDivisionError,
+    ExponentRangeError,
     IncompatibleRingError,
     LaurentPoly,
     NotAUnitError,
@@ -22,7 +23,9 @@ from daha import (
     preset,
     specialize,
 )
-from daha.coeffring import Cyclo
+from daha.coeffring import EXPONENT_LIMIT, Cyclo
+
+from conftest import TupleLaurent, exponent_terms
 
 UR = ParamRing(
     RATIONALS,
@@ -354,12 +357,12 @@ def test_division_makes_fractions_and_nothing_else():
     assert exact_types(cyc.inv(cyc.one() + s)) == [Fraction, Fraction]
 
     inverse = monomial_inverse(2 * q)
-    assert inverse.terms == {(0, 0, 0, 0, -1): Fraction(1, 2)}
+    assert exponent_terms(inverse) == {(0, 0, 0, 0, -1): Fraction(1, 2)}
     assert exact_types(inverse) == [Fraction]
 
     udaha = preset("UDAHA_model")
     parsed = udaha.parse("(2*Q)^-1")
-    assert parsed.terms[()].terms == {(0, 0, 0, 0, -1): Fraction(1, 2)}
+    assert exponent_terms(parsed.terms[()]) == {(0, 0, 0, 0, -1): Fraction(1, 2)}
     assert exact_types(parsed) == [Fraction]
 
     # a non-unit integer leading coefficient: the quotient is whole again
@@ -372,13 +375,13 @@ def test_division_makes_fractions_and_nothing_else():
     src = ParamRing(RATIONALS, [("q", True)])
     target = ParamRing(cyc, [])
     image = specialize(2 * src.param("q") + Fraction(1, 2), {"q": target.scalar(s)}, target)
-    assert image.terms == {(): (Fraction(1, 2), 2)}
+    assert exponent_terms(image) == {(): (Fraction(1, 2), 2)}
     assert exact_types(image) == [Fraction, int]
 
     half, two = udaha.parse("1/2"), udaha.parse("4/2")
-    assert half.terms[()].terms == {(0,) * 5: Fraction(1, 2)}
+    assert exponent_terms(half.terms[()]) == {(0,) * 5: Fraction(1, 2)}
     assert exact_types(half) == [Fraction]
-    assert two.terms[()].terms == {(0,) * 5: 2}
+    assert exponent_terms(two.terms[()]) == {(0,) * 5: 2}
     assert exact_types(two) == [int]
 
 
@@ -425,3 +428,62 @@ def test_int_first_matches_all_fraction(n):
             exact_types(got)
 
     agree()
+
+
+# -- packed exponent keys against tuple exponents -----------------------------------
+
+L = EXPONENT_LIMIT
+EDGE_RING = ParamRing(RATIONALS, [("a", True), ("b", False), ("c", True)])
+EDGES = [L // 2, L - 2, L - 1]
+
+
+def edge_exponent(invertible: bool):
+    small = st.integers(-3 if invertible else 0, 3)
+    edges = EDGES + [-e - 1 for e in EDGES] if invertible else EDGES
+    return st.one_of(small, st.sampled_from(edges))
+
+
+edge_vectors = st.tuples(*(edge_exponent(flag) for flag in EDGE_RING.invertible))
+edge_terms = st.dictionaries(edge_vectors, st.integers(-3, 3), max_size=3)
+edge_units = st.builds(
+    lambda c, e: {e: c},
+    st.sampled_from([-2, -1, 1, 3]),
+    st.tuples(edge_exponent(True), st.just(0), edge_exponent(True)),
+)
+
+
+@given(edge_terms, edge_terms, edge_units, st.integers(0, 3), st.integers(-2, 2))
+@example({(L - 1, 0, 0): 1}, {(1, 0, 0): 1}, {(0, 0, 1): 1}, 1, 1)  # over the top slot
+@example({(0, 0, -L): 1}, {(0, 0, -1): 1}, {(0, 0, -L): 1}, 1, -1)  # under the lowest slot
+@example({(0, L - 1, 1): 1}, {(-L, 1, -2): 1}, {(-L, 0, 0): 1}, 2, 1)  # borrows below a guard
+@example({(1 - L, 0, L - 2): 2}, {(-1, L - 1, 1): -1}, {(L - 1, 0, 1 - L): 1}, 1, -2)  # at the edges
+@settings(max_examples=200, deadline=None)
+def test_packed_kernel_matches_tuple_exponents(ta, tb, tu, m, k):
+    # a result inside the range agrees with the reference term for term and in
+    # text; one outside it raises, whatever borrows and carries the keys make
+    a, b, u = (EDGE_RING.poly(t) for t in (ta, tb, tu))
+    A, B, U = (TupleLaurent(EDGE_RING, t) for t in (ta, tb, tu))
+    assert exponent_terms(a) == A.terms and a.render() == A.render()
+    cases = [
+        (lambda: a + b, A + B), (lambda: a - b, A - B), (lambda: -a, -A),
+        (lambda: a * b, A * B), (lambda: a ** m, A ** m),
+        (lambda: monomial_inverse(u), U.inverse()),
+        (lambda: u ** k, U ** k if k >= 0 else U.inverse() ** -k),
+    ]
+    for kernel, want in cases:
+        if want.in_range(L):
+            got = kernel()
+            assert exponent_terms(got) == want.terms
+            assert got.render() == want.render()
+        else:
+            with pytest.raises(ExponentRangeError):
+                kernel()
+
+
+@pytest.mark.parametrize("exps", [(L, 0, 0), (-L - 1, 0, 0), (0, L, 0), (0, 0, 2**40)])
+def test_poly_refuses_exponents_out_of_range(exps):
+    with pytest.raises(ExponentRangeError):
+        EDGE_RING.poly({exps: 1})
+    name = EDGE_RING.params[next(i for i, e in enumerate(exps) if e)]
+    with pytest.raises(ExponentRangeError):
+        EDGE_RING.param(name, sum(exps))

@@ -20,6 +20,8 @@ from daha import (
     preset,
 )
 
+from conftest import exponent_terms
+
 AB = Alphabet(("T0", "T1", "V0", "V1"))
 UR = ParamRing(
     RATIONALS,
@@ -181,7 +183,7 @@ def test_scalar_powers_are_bounded(monkeypatch):
     monkeypatch.setattr(exprs, "MAX_TERMS", 16)
     assert parse_expr("2^33", AB, UR) == parse_expr("8589934592", AB, UR)
     assert parse_expr("(2*Q)^-33", AB, UR) == parse_expr("1/8589934592*Q^-33", AB, UR)
-    assert parse_expr("Q^999999999*(-1)^999999999", AB, UR).terms[()].terms == {
+    assert exponent_terms(parse_expr("Q^999999999*(-1)^999999999", AB, UR).terms[()]) == {
         (0, 0, 0, 0, 999999999): -1
     }
     assert len(parse_expr("(1 + Q)^4", AB, UR).terms[()].terms) == 5
