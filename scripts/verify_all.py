@@ -50,17 +50,18 @@ def main() -> int:
                     print(f"    {check.line()}")
 
     certs = sorted(args.out.glob("*-certs/*.json"))
-    bad_certs = 0
+    bad_certs = steps = 0
     for path in certs:
         try:
             outcome = replay(read_certificate(path))
             ok, message = outcome.ok, outcome.message
+            steps += outcome.steps_applied
         except CertificateError as exc:
             ok, message = False, str(exc)
         if not ok:
             bad_certs += 1
             print(f"INVALID certificate {path}: {message}")
-    print(f"replayed {len(certs)} certificates, {bad_certs} invalid")
+    print(f"replayed {len(certs)} certificates, {bad_certs} invalid, {steps} steps")
 
     if failed or bad_certs:
         print(f"FAILURES: suites={failed or 'none'} bad_certs={bad_certs}")

@@ -25,9 +25,7 @@ from .algebras import (
     presentation_spec,
     resolve_algebra,
     semilinear_apply,
-    specialize_ncpoly,
     specialize_presentation,
-    surjection_assignment,
     verify_map,
 )
 from .braid import (

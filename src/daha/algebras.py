@@ -501,24 +501,6 @@ def conjugation_map(algebra: AlgebraPresentation, inverse: bool = False) -> Semi
 # -- specialization ----------------------------------------------------------
 
 
-def specialize_ncpoly(
-    p: NCPoly,
-    assignment: Mapping[str, LaurentPoly],
-    target: AlgebraPresentation,
-) -> NCPoly:
-    """Push an element along a parameter specialization; generators map
-    to the target generators of the same name."""
-    out = {}
-    for word, coeff in p.terms.items():
-        moved = tuple(
-            target.alphabet.index(p.alphabet.symbols[g]) for g in word
-        )
-        value = specialize(coeff, assignment, target.ring)
-        if not value.is_zero():
-            out[moved] = value
-    return NCPoly(target.alphabet, target.ring, out)
-
-
 def specialize_presentation(
     source: AlgebraPresentation,
     assignment: Mapping[str, LaurentPoly],
@@ -535,19 +517,6 @@ def specialize_presentation(
         }
         target.add_axiom(lhs, NCPoly.from_terms(source.alphabet, target_ring, terms))
     return target
-
-
-def surjection_assignment(
-    source: AlgebraPresentation, target: AlgebraPresentation
-) -> dict:
-    """The parameter assignment realizing source -> target on traces and
-    on the q symbol (for UDAHA_model -> H_generic: cTi -> ki+ki^-1,
-    cVi -> li+li^-1, Q -> q)."""
-    assignment = {}
-    for gen_name in source.alphabet.symbols:
-        assignment[trace_symbol(source, gen_name)] = target.trace(gen_name)
-    assignment[q_symbol(source)] = target.ring.param(q_symbol(target))
-    return assignment
 
 
 # -- Askey-Wilson form ---------------------------------------------------------

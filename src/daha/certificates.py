@@ -4,14 +4,15 @@ A certificate carries its own context: the algebra description, the
 term order, a snapshot of the rules it used, and the rendered initial
 element.  Replay therefore needs nothing from the producing session; it
 rebuilds the ring and alphabet, applies every recorded step in place to
-one term map, in time linear in the number of steps, and compares
+one term map through the reduction's own kernel (copy-on-write, see
+:mod:`daha.rewrite`), in time linear in the number of steps, and compares
 hashes.  It deliberately does not re-run completion: a replay validates
 the reduction trace, not the provenance of the rules.
 
 Tampering surfaces as one of: a hash mismatch, a wrong final rendering,
 or a failing step, reported with its 1-based index: an unknown rule id,
 an absent word, a rule that does not match its recorded word and
-position, or a state that differs from the recorded one.
+position, an exponent out of range, or a state unlike the recorded one.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import json
 from dataclasses import dataclass
 
 from .coeffring import BaseRing, ParamRing
-from .errors import CertificateError, DahaError
+from .errors import CertificateError, DahaError, ExponentRangeError
 from .exprs import parse_expr
-from .ncpoly import Alphabet, NCPoly, TermOrder, canonical_hash, fnv1a64
+from .ncpoly import Alphabet, TermOrder, canonical_hash, fnv1a64
 from .rewrite import (
     ReductionCertificate,
     ReductionStep,
     RewriteRule,
+    as_ncpoly,
     make_rule,
     step_in_place,
 )
@@ -36,6 +38,7 @@ FORMAT_VERSION = 1
 
 
 def certificate_to_json(cert: ReductionCertificate) -> dict:
+    alphabet = Alphabet(tuple(cert.algebra["generators"]))
     data = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -48,8 +51,8 @@ def certificate_to_json(cert: ReductionCertificate) -> dict:
         "initial": cert.initial,
         "initial_hash": cert.initial_hash,
         "steps": [
-            {"rule": step[0], "position": step[1], "word": step[2]}
-            for step in _rendered_steps(cert)
+            {"rule": step.rule_id, "position": step.position, "word": alphabet.render_word(step.word)}
+            for step in cert.steps
         ],
         "final": cert.final,
         "final_hash": cert.final_hash,
@@ -58,12 +61,6 @@ def certificate_to_json(cert: ReductionCertificate) -> dict:
     if cert.states is not None:
         data["states"] = list(cert.states)
     return data
-
-
-def _rendered_steps(cert: ReductionCertificate):
-    alphabet = Alphabet(tuple(cert.algebra["generators"]))
-    for step in cert.steps:
-        yield step.rule_id, step.position, alphabet.render_word(step.word)
 
 
 def _typed(value, kind: type, what: str):
@@ -186,14 +183,14 @@ def _replay_checked(cert: ReductionCertificate) -> int:
     for index, step in enumerate(cert.steps, start=1):
         try:
             step_in_place(terms, step, rules, alphabet)
-        except CertificateError as exc:
+        except (CertificateError, ExponentRangeError) as exc:
             raise CertificateError(f"step {index}: {exc}") from None
         if cert.states is not None and (
-            NCPoly(alphabet, ring, terms).render() != cert.states[index - 1]
+            as_ncpoly(alphabet, ring, terms).render() != cert.states[index - 1]
         ):
             raise CertificateError(f"step {index}: state mismatch")
 
-    final = NCPoly(alphabet, ring, terms).render()
+    final = as_ncpoly(alphabet, ring, terms).render()
     if fnv1a64(final) != cert.final_hash:
         raise CertificateError("final hash mismatch")
     if final != cert.final:

@@ -60,7 +60,7 @@ SLOT_BITS = 32
 #: exponents run from -EXPONENT_LIMIT to EXPONENT_LIMIT - 1 (a slot holds e + EXPONENT_LIMIT)
 EXPONENT_LIMIT = 1 << (SLOT_BITS - 2)
 
-_OUT_OF_RANGE = f"parameter exponent outside {-EXPONENT_LIMIT}..{EXPONENT_LIMIT - 1}"
+OUT_OF_RANGE = f"parameter exponent outside {-EXPONENT_LIMIT}..{EXPONENT_LIMIT - 1}"
 
 
 def _rational(q) -> Union[int, Fraction]:
@@ -288,7 +288,7 @@ class ParamRing:
         if e < 0 and not self.invertible[i]:
             raise NotAUnitError(f"negative exponent on plain symbol {self.params[i]!r}")
         if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT:
-            raise ExponentRangeError(_OUT_OF_RANGE)
+            raise ExponentRangeError(OUT_OF_RANGE)
 
     def pack(self, exps: Sequence[int]) -> int:
         """The key of an exponent vector, checked for length, sign and range."""
@@ -431,7 +431,7 @@ class LaurentPoly:
             for k2, c2 in right:
                 key = k1 + k2
                 if key & guard:
-                    raise ExponentRangeError(_OUT_OF_RANGE)
+                    raise ExponentRangeError(OUT_OF_RANGE)
                 c = c1 * c2  # nonzero: the base rings are fields
                 old = get(key)
                 s = c if old is None else old + c
@@ -521,7 +521,7 @@ def monomial_inverse(p: LaurentPoly) -> LaurentPoly:
     ring = p.ring
     key = 2 * ring.bias - key
     if key & ring.guard:
-        raise ExponentRangeError(_OUT_OF_RANGE)
+        raise ExponentRangeError(OUT_OF_RANGE)
     return LaurentPoly(ring, {key: ring.base.inv(c)})
 
 

@@ -13,7 +13,7 @@ linear rule admissible regardless of the permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,6 +32,7 @@ class Alphabet:
     """Ordered generator names for a free algebra."""
 
     symbols: tuple
+    _index: dict = field(init=False, repr=False, compare=False)  # name -> position
 
     def __post_init__(self):
         if len(set(self.symbols)) != len(self.symbols):
@@ -39,14 +40,15 @@ class Alphabet:
         for name in self.symbols:
             if not name.isidentifier():
                 raise ValueError(f"bad generator name {name!r}")
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.symbols)})
 
     def __len__(self):
         return len(self.symbols)
 
     def index(self, name: str) -> int:
         try:
-            return self.symbols.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def word(self, *names: str) -> Word:
@@ -61,7 +63,10 @@ class Alphabet:
         text = text.strip()
         if text == "1":
             return ()
-        return tuple(self.index(part.strip()) for part in text.split("*"))
+        try:
+            return tuple([self._index[part.strip()] for part in text.split("*")])
+        except KeyError as exc:
+            raise ValueError(f"unknown generator {exc.args[0]!r}") from None
 
 
 class TermOrder:
@@ -92,11 +97,7 @@ class TermOrder:
 
     def compare(self, u: Word, v: Word) -> int:
         ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return -1
-        if ku > kv:
-            return 1
-        return 0
+        return (ku > kv) - (ku < kv)
 
     def __eq__(self, other):
         return (
@@ -220,9 +221,7 @@ class NCPoly:
         return NCPoly(self.alphabet, self.ring, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = NCPoly.monomial(self.alphabet, self.ring, (), self._scalar(other))
-        if not isinstance(other, NCPoly):
+        if not isinstance(other, (int, Fraction, LaurentPoly, NCPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -252,18 +251,9 @@ class NCPoly:
             return NotImplemented
         self._require_compatible(other)
         out = {}
+        right = other.terms.items()
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                if w in out:
-                    s = out[w] + c
-                    if s.is_zero():
-                        del out[w]
-                    else:
-                        out[w] = s
-                elif not c.is_zero():
-                    out[w] = c
+            add_terms(out, [(w1 + w2, c1 * c2) for w2, c2 in right])
         return NCPoly(self.alphabet, self.ring, out)
 
     def __rmul__(self, other):

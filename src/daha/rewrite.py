@@ -14,6 +14,11 @@ single deterministic steps while touching each word once.  The recorded
 step list replays exactly on the input element, which is what the
 certificate format relies on.
 
+Every step runs through one kernel, :func:`substitute`, which adds its
+products straight into a working term map whose values are the caller's
+`LaurentPoly` coefficients, never written, or `{key: scalar}` dicts the
+kernel owns: the first write to a word copies its coefficient.
+
 Completion checks a critical pair again only when one of its two rules has
 changed since the pair was last found resolved.
 
@@ -32,9 +37,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .coeffring import ParamRing, monomial_inverse
+from .coeffring import OUT_OF_RANGE, LaurentPoly, ParamRing, monomial_inverse
 from .errors import (
     CertificateError,
+    ExponentRangeError,
+    IncompatibleRingError,
     InsufficientCompletionError,
     OrientationError,
 )
@@ -56,6 +63,12 @@ class RewriteRule:
     def text(self) -> tuple[str, str]:
         """The rendered lhs and rhs, as certificates list them; rendered once."""
         return self.rhs.alphabet.render_word(self.lhs), self.rhs.render()
+
+    @cached_property
+    def packed_rhs(self) -> tuple:
+        """The rhs as `substitute` reads it: `(word, ((key - bias, scalar), ...))`; built once."""
+        bias, terms = self.rhs.ring.bias, self.rhs.terms
+        return tuple((w, tuple((k - bias, x) for k, x in c.terms.items())) for w, c in terms.items())
 
     def render(self, alphabet: Alphabet) -> str:
         return f"{alphabet.render_word(self.lhs)} -> {self.rhs.render()}"
@@ -158,25 +171,49 @@ class EqualityVerdict:
 def substitute(terms: dict, word: Word, pos: int, rule: RewriteRule, coeff) -> list:
     """The one rewrite step: add `coeff * pre * rule.rhs * suf` into `terms`
     in place, where `pre` and `suf` surround the lhs match at `pos` in
-    `word` (which the caller has removed).  Keeps `terms` free of zero
-    coefficients; returns the words that were not in `terms` before."""
+    `word` (which the caller has removed).  `coeff` and each value of `terms`
+    is a `LaurentPoly`, only read, or a `{key: scalar}` dict this kernel made;
+    the first write to a word holding a `LaurentPoly` copies its terms into
+    such a dict (copy-on-write).  Keeps `terms` free of zero coefficients;
+    returns the words that were not in `terms` before.  An exponent out of
+    range raises :class:`ExponentRangeError` and leaves `terms` unusable."""
     pre = word[:pos]
     suf = word[pos + len(rule.lhs) :]
+    source = (coeff.terms if type(coeff) is LaurentPoly else coeff).items()
+    guard = rule.rhs.ring.guard
     inserted = []
-    for w2, c2 in rule.rhs.terms.items():
+    for w2, pairs in rule.packed_rhs:
         new_word = pre + w2 + suf
-        c = coeff * c2
-        old = terms.get(new_word)
-        if old is None:
-            terms[new_word] = c
+        target = terms.get(new_word)
+        if target is None:
+            target = terms[new_word] = {}
             inserted.append(new_word)
-        else:
-            s = old + c
-            if s:
-                terms[new_word] = s
-            else:
-                del terms[new_word]
+        elif type(target) is LaurentPoly:
+            target = terms[new_word] = dict(target.terms)
+        get = target.get
+        for k1, c1 in source:
+            for k2, c2 in pairs:
+                key = k1 + k2
+                if key & guard:
+                    raise ExponentRangeError(OUT_OF_RANGE)
+                c = c1 * c2  # nonzero: the base rings are fields
+                old = get(key)
+                s = c if old is None else old + c
+                if s:
+                    target[key] = s
+                else:
+                    del target[key]
+        if not target:
+            del terms[new_word]
     return inserted
+
+
+def as_ncpoly(alphabet: Alphabet, ring: ParamRing, terms: dict) -> NCPoly:
+    """A `substitute` term map as an element, in place: each dict value becomes a `LaurentPoly`."""
+    for w, c in terms.items():
+        if type(c) is not LaurentPoly:
+            terms[w] = LaurentPoly(ring, c)
+    return NCPoly(alphabet, ring, terms)
 
 
 def step_in_place(terms: dict, step: ReductionStep, rules: Mapping, alphabet: Alphabet):
@@ -303,10 +340,13 @@ class RewriteSystem:
         Words are processed highest-first via a lazy-deletion max-heap.
         Every word a step produces is strictly smaller than the word it
         rewrote, so finished words are never revisited and the recorded
-        steps replay verbatim on the original element.
+        steps replay verbatim on the original element.  An exponent out of
+        range raises :class:`ExponentRangeError` naming the step's rule and word.
         """
         if not p.terms:
             return p, ()
+        if p.ring is not self.ring and p.ring != self.ring:
+            raise IncompatibleRingError("element and rules use different coefficient rings")
         pending = dict(p.terms)
         finished: dict = {}
         heap = [(self._neg_key(w), w) for w in pending]
@@ -324,9 +364,15 @@ class RewriteSystem:
             rule, pos = hit
             if record:
                 steps.append(ReductionStep(rule.id, pos, word))
-            for new_word in substitute(pending, word, pos, rule, coeff):
+            try:
+                inserted = substitute(pending, word, pos, rule, coeff)
+            except ExponentRangeError as exc:
+                raise ExponentRangeError(
+                    f"{exc} (rewriting {self.alphabet.render_word(word)} by rule {rule.id})"
+                ) from None
+            for new_word in inserted:
                 heapq.heappush(heap, (self._neg_key(new_word), new_word))
-        nf = NCPoly(self.alphabet, self.ring, finished)
+        nf = as_ncpoly(self.alphabet, self.ring, finished)
         return nf, tuple(steps) if record else ()
 
     def nf(self, p: NCPoly) -> NCPoly:
@@ -362,7 +408,7 @@ class RewriteSystem:
             terms = dict(p.terms)
             for step in steps:
                 step_in_place(terms, step, self.rules, self.alphabet)
-                states.append(NCPoly(self.alphabet, self.ring, terms).render())
+                states.append(as_ncpoly(self.alphabet, self.ring, terms).render())
         initial, final = p.render(), nf.render()
         cert = ReductionCertificate(
             algebra=self.describe(),
@@ -421,7 +467,7 @@ class RewriteSystem:
         for rule_id, pos in ((amb.rule1, amb.pos1), (amb.rule2, amb.pos2)):
             terms = {amb.word: self.ring.one()}
             step_in_place(terms, ReductionStep(rule_id, pos, amb.word), self.rules, self.alphabet)
-            sides.append(NCPoly(self.alphabet, self.ring, terms))
+            sides.append(as_ncpoly(self.alphabet, self.ring, terms))
         return sides[0] - sides[1]
 
     def _orient(self, diff: NCPoly, amb: AmbiguityRecord | None = None) -> RewriteRule:

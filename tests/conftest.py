@@ -20,8 +20,10 @@ from daha import (
     UnsupportedPresetError,
     monomial_inverse,
     preset,
+    specialize,
 )
-from daha.rewrite import substitute
+from daha.algebras import q_symbol, trace_symbol
+from daha.rewrite import as_ncpoly, substitute
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -77,6 +79,29 @@ def word_compare(u, v, order) -> int:
 def exponent_terms(c: LaurentPoly) -> dict:
     """The term map of a coefficient keyed by exponent vectors."""
     return {c.ring.unpack(key): x for key, x in c.terms.items()}
+
+
+def specialize_ncpoly(p: NCPoly, assignment: dict, target: AlgebraPresentation) -> NCPoly:
+    """Push an element along a parameter specialization; generators map
+    to the target generators of the same name."""
+    out = {}
+    for word, coeff in p.terms.items():
+        moved = tuple(target.alphabet.index(p.alphabet.symbols[g]) for g in word)
+        value = specialize(coeff, assignment, target.ring)
+        if not value.is_zero():
+            out[moved] = value
+    return NCPoly(target.alphabet, target.ring, out)
+
+
+def surjection_assignment(source: AlgebraPresentation, target: AlgebraPresentation) -> dict:
+    """The parameter assignment realizing source -> target on traces and
+    on the q symbol (for UDAHA_model -> H_generic: cTi -> ki+ki^-1,
+    cVi -> li+li^-1, Q -> q)."""
+    assignment = {}
+    for gen_name in source.alphabet.symbols:
+        assignment[trace_symbol(source, gen_name)] = target.trace(gen_name)
+    assignment[q_symbol(source)] = target.ring.param(q_symbol(target))
+    return assignment
 
 
 # -- tuple-exponent reference for the coefficient kernel ---------------------------
@@ -197,4 +222,4 @@ def normal_form_random(system: RewriteSystem, p: NCPoly, rng: random.Random) -> 
         if redexes:
             rule, pos = rng.choice(redexes)
             candidates.extend(substitute(terms, word, pos, rule, terms.pop(word)))
-    return NCPoly(p.alphabet, p.ring, terms)
+    return as_ncpoly(p.alphabet, p.ring, terms)

@@ -23,15 +23,13 @@ from daha import (
     preset,
     resolve_algebra,
     semilinear_apply,
-    specialize_ncpoly,
     specialize_presentation,
-    surjection_assignment,
     verify_map,
 )
 from daha.algebras import apply_param_map, product_axiom, q_symbol, q_value, trace_symbol
 from daha.coeffring import RATIONALS, ParamRing
 
-from conftest import inv_element
+from conftest import inv_element, specialize_ncpoly, surjection_assignment
 
 
 # -- presets -----------------------------------------------------------------

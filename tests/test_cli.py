@@ -122,7 +122,8 @@ def test_huge_literal_exits_2(capsys):
     ("Q^99999999999999999999*T0", " (at position 1)"),  # an exponent literal, at its caret
     ("(Q^99999999999)^99999999999*T0", " (at position 2)"),  # the inner power fails first
     ("Q^999999999*Q^999999999*T0", " (at position 13)"),  # a fold, at the second factor
-    ("Q^-1073741824*V0*T0*V1*T1", ""),  # parses; the product axiom's Q^-1 leaves the range
+    # parses; the product axiom's Q^-1 leaves the range, named with its rule and word
+    ("Q^-1073741824*V0*T0*V1*T1", " (rewriting V0*T0*V1*T1 by rule 8)"),
 ], ids=["literal", "power", "fold", "reduction"])
 def test_exponent_out_of_range_exits_2(capsys, expr, where):
     code, out, err = run(capsys, "reduce", expr)

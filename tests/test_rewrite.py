@@ -22,6 +22,7 @@ from daha import (
     ReductionStep,
     RewriteSystem,
     TermOrder,
+    canonical_hash,
     certificate_from_json,
     certificate_to_json,
     make_rule,
@@ -29,7 +30,7 @@ from daha import (
     replay,
     resolve_algebra,
 )
-from daha.rewrite import step_in_place, substitute
+from daha.rewrite import as_ncpoly, step_in_place, substitute
 from conftest import normal_form_random, random_element
 
 SETTINGS = {"max_examples": 40, "deadline": None}
@@ -69,7 +70,7 @@ def one_step(alg, p, step):
     """`step_in_place` on a copy of the terms of `p`."""
     terms = dict(p.terms)
     step_in_place(terms, step, alg.system.rules, alg.alphabet)
-    return NCPoly(alg.alphabet, alg.ring, terms)
+    return as_ncpoly(alg.alphabet, alg.ring, terms)
 
 
 def test_step_in_place_golden(udaha):
@@ -99,11 +100,51 @@ def test_substitute_in_place(udaha):
     terms = {udaha.alphabet.word("T0", "T1"): udaha.ring.one()}
     new = substitute(terms, word, 1, rule, udaha.ring.scalar(2))
     assert new == [udaha.alphabet.word("T0", "V0", "T1")]
-    assert NCPoly(udaha.alphabet, udaha.ring, terms) == udaha.parse("2*cV0*T0*V0*T1 - T0*T1")
+    assert as_ncpoly(udaha.alphabet, udaha.ring, terms) == udaha.parse("2*cV0*T0*V0*T1 - T0*T1")
     # cancelling the remaining term drops it from the map
     new = substitute(terms, word, 1, rule, udaha.ring.scalar(-1))
     assert new == []
-    assert NCPoly(udaha.alphabet, udaha.ring, terms) == udaha.parse("cV0*T0*V0*T1")
+    assert as_ncpoly(udaha.alphabet, udaha.ring, terms) == udaha.parse("cV0*T0*V0*T1")
+
+
+def snapshot(p):
+    """The rendering of `p` and a copy of each coefficient's term map."""
+    return p.render(), {w: dict(c.terms) for w, c in p.terms.items()}
+
+
+def rule_snapshots(system):
+    return {rule: snapshot(rule.rhs) for rule in system.rules.values()}
+
+
+def assert_unchanged(snapshots):
+    for rule, before in snapshots.items():
+        assert snapshot(rule.rhs) == before, rule.render(rule.rhs.alphabet)
+
+
+def test_the_kernel_writes_only_coefficients_it_made():
+    alg = preset("UDAHA_model")
+    alg.complete(6)
+    # V0*V0 -> cV0*V0 - 1 writes into T0*V0 (leaving Q + 2) and cancels T0
+    p = alg.parse("T0*V0*V0 + (2 + Q)*T0*V0 - cV0*T0*V0 + T0")
+    before, rules = snapshot(p), rule_snapshots(alg.system)
+    nf, cert = alg.system.reduce_with_certificate(p)
+    assert nf == alg.parse("(2 + Q)*T0*V0")
+    verdict = alg.check_equal(p, alg.parse("(2 + Q)*T0*V0"), verbose=True)
+    assert verdict.equal and verdict.certificate.states[-1] == "0"
+    assert replay(cert).ok and replay(verdict.certificate).ok
+    terms = dict(p.terms)
+    for step in cert.steps:
+        step_in_place(terms, step, alg.system.rules, alg.alphabet)
+    assert as_ncpoly(alg.alphabet, alg.ring, terms) == nf
+    assert snapshot(p) == before
+    assert_unchanged(rules)
+    # completion normalizes every rhs again; old and new rules keep theirs
+    alg.complete(9)
+    assert_unchanged(rules)
+    rules = rule_snapshots(alg.system)
+    alg.system.complete_to_degree(10)
+    assert_unchanged(rules)
+    assert snapshot(p) == before
 
 
 # -- normal forms ---------------------------------------------------------------------
@@ -496,6 +537,12 @@ def test_replay_names_the_failing_step(udaha):
 
     wrong_text = dataclasses.replace(cert, final=cert.final + " + 1")
     assert replay(wrong_text).message == "final element does not match its rendering"
+
+    # the product axiom's Q^-1 takes this initial element's Q out of range
+    _, product = udaha.system.reduce_with_certificate(udaha.parse("V0*T0*V1*T1"))
+    initial = udaha.parse("Q^-1073741824*V0*T0*V1*T1")
+    extreme = dataclasses.replace(product, initial=initial.render(), initial_hash=canonical_hash(initial))
+    assert replay(extreme).message == "step 1: parameter exponent outside -1073741824..1073741823"
 
 
 def test_certificate_tampered_states(udaha):

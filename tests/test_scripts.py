@@ -20,7 +20,7 @@ def run_script(name, *args):
 def test_verify_all_replays_every_certificate(tmp_path):
     proc = run_script("verify_all.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "replayed 134 certificates, 0 invalid" in proc.stdout
+    assert "replayed 134 certificates, 0 invalid, 768 steps\n" in proc.stdout
     assert proc.stdout.endswith("all suites verified\n")
 
 
