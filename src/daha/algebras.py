@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedPresetError,
 )
 from .exprs import PresentationSpec, load_presentation, parse_expr
-from .ncpoly import Alphabet, NCPoly, TermOrder, Word, add_terms
+from .ncpoly import Alphabet, NCPoly, TermOrder, Word, add_product, as_ncpoly
 from .rewrite import EqualityVerdict, RewriteSystem
 
 class AlgebraPresentation:
@@ -348,9 +348,8 @@ def semilinear_apply(phi: SemilinearMap, p: NCPoly) -> NCPoly:
         for j in range(k, len(word)):
             image = algebra.nf(image * letter_images[word[j]])
             memo[word[: j + 1]] = image
-        c = apply_param_map(coeff, phi)
-        add_terms(out, ((w, c * ic) for w, ic in image.terms.items()))
-    return algebra.nf(NCPoly(algebra.alphabet, algebra.ring, out))
+        add_product(out, apply_param_map(coeff, phi), (), image)
+    return algebra.nf(as_ncpoly(algebra.alphabet, algebra.ring, out))
 
 
 def identity_map(algebra: AlgebraPresentation) -> SemilinearMap:

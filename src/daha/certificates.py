@@ -5,9 +5,9 @@ term order, a snapshot of the rules it used, and the rendered initial
 element.  Replay therefore needs nothing from the producing session; it
 rebuilds the ring and alphabet, applies every recorded step in place to
 one term map through the reduction's own kernel (copy-on-write, see
-:mod:`daha.rewrite`), in time linear in the number of steps, and compares
-hashes.  It deliberately does not re-run completion: a replay validates
-the reduction trace, not the provenance of the rules.
+:func:`daha.ncpoly.add_product`), in time linear in the number of steps,
+and compares hashes.  It deliberately does not re-run completion: a replay
+validates the reduction trace, not the provenance of the rules.
 
 Tampering surfaces as one of: a hash mismatch, a wrong final rendering,
 or a failing step, reported with its 1-based index: an unknown rule id,

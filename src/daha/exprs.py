@@ -131,11 +131,12 @@ class _Parser:
     or product, the caret of a power, for parentheses that of the
     expression inside) and the index after it."""
 
-    __slots__ = ("tokens", "depth", "ring", "inv_resolver", "gens", "consts", "one")
+    __slots__ = ("tokens", "depth", "alphabet", "ring", "inv_resolver", "gens", "consts", "one")
 
     def __init__(self, tokens: list, alphabet: Alphabet, ring: ParamRing, inv_resolver):
         self.tokens = tokens
         self.depth = 0
+        self.alphabet = alphabet
         self.ring = ring
         self.inv_resolver = inv_resolver
         self.gens = {name: i for i, name in enumerate(alphabet.symbols)}
@@ -395,9 +396,9 @@ class _Parser:
             raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
         if left and right and max(map(len, left)) + max(map(len, right)) > MAX_DEGREE:
             raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
-        out: dict = {}
+        alphabet, ring = self.alphabet, self.ring
         try:
-            add_terms(out, [(w1 + w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right.items()])
+            out = (NCPoly(alphabet, ring, left) * NCPoly(alphabet, ring, right)).terms
         except ExponentRangeError as exc:
             raise ParseError(str(exc), pos) from None
         for c in out.values():
@@ -437,12 +438,10 @@ class PresentationSpec:
     order: tuple | None
 
 
-def _split_list(text: str) -> list:
-    if "," in text:
-        parts = [part.strip() for part in text.split(",")]
-    else:
-        parts = text.split()
-    return [part for part in parts if part]
+def _split_list(text: str, gap: str = r"\s+") -> list:
+    """Comma-separated entries, or without a comma those between `gap` matches."""
+    parts = text.split(",") if "," in text else re.split(gap, text)
+    return [part.strip() for part in parts if part.strip()]
 
 
 def load_presentation(text: str) -> PresentationSpec:
@@ -497,7 +496,7 @@ def load_presentation(text: str) -> PresentationSpec:
         raise PresentationError(str(exc)) from None
 
     params = []
-    for entry in _split_list(fields["params"]):
+    for entry in _split_list(fields["params"], r"\s+(?!inv\b)"):  # `Q inv` is one entry
         words = entry.split()
         if len(words) == 1:
             params.append((words[0], False))

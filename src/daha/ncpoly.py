@@ -5,6 +5,13 @@ tuples hash natively, which is all the interning we need for fast term
 maps.  An :class:`NCPoly` maps words to Laurent-polynomial coefficients
 and is kept canonical (no zero coefficients), so equality is structural.
 
+Every product of term maps runs through one kernel, :func:`add_product`,
+which adds `coeff * pre * R * suf` straight into a working term map whose
+values are the caller's `LaurentPoly` coefficients, never written, or
+`{key: scalar}` dicts the kernel owns: the first write to a word copies its
+coefficient.  `NCPoly.__mul__` and `scale`, the parser's products, the
+semilinear maps and every rewrite step call it; sums use :func:`add_terms`.
+
 Term orders are degree-lexicographic: total degree first, then the
 letter-by-letter comparison under a configurable precedence permutation
 of the alphabet.  Degree dominance is what makes every quadratic-to-
@@ -17,9 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .coeffring import LaurentPoly, ParamRing
+from .coeffring import OUT_OF_RANGE, LaurentPoly, ParamRing
 from .errors import (
     AlphabetMismatchError,
+    ExponentRangeError,
     IncompatibleRingError,
     ZeroPolynomialError,
 )
@@ -130,6 +138,52 @@ def add_terms(terms: dict, pairs) -> None:
                 del terms[w]
 
 
+def add_product(terms: dict, coeff, pre: Word, rhs: "NCPoly", suf: Word = ()) -> list:
+    """The one product kernel: add `coeff * pre * rhs * suf` into the term map
+    `terms` in place.  `coeff` and each value of `terms` is a `LaurentPoly`,
+    only read, or a `{key: scalar}` dict this kernel made; the first write to
+    a word holding a `LaurentPoly` copies its terms into such a dict
+    (copy-on-write).  Keeps `terms` free of zero coefficients; returns the
+    words that were not in `terms` before.  An exponent out of range raises
+    :class:`ExponentRangeError` and leaves `terms` unusable."""
+    bias, guard = rhs.ring.bias, rhs.ring.guard
+    source = [(k - bias, x) for k, x in (coeff.terms if type(coeff) is LaurentPoly else coeff).items()]
+    inserted = []
+    for w, c in rhs.terms.items():
+        new_word = pre + w + suf
+        target = terms.get(new_word)
+        if target is None:
+            target = terms[new_word] = {}
+            inserted.append(new_word)
+        elif type(target) is LaurentPoly:
+            target = terms[new_word] = dict(target.terms)
+        get = target.get
+        pairs = c.terms.items()
+        for k1, x1 in source:
+            for k2, x2 in pairs:
+                key = k1 + k2
+                if key & guard:
+                    raise ExponentRangeError(OUT_OF_RANGE)
+                x = x1 * x2  # nonzero: the base rings are fields
+                old = get(key)
+                s = x if old is None else old + x
+                if s:
+                    target[key] = s
+                else:
+                    del target[key]
+        if not target:
+            del terms[new_word]
+    return inserted
+
+
+def as_ncpoly(alphabet: Alphabet, ring: ParamRing, terms: dict) -> "NCPoly":
+    """An `add_product` term map as an element, in place: each dict value becomes a `LaurentPoly`."""
+    for w, c in terms.items():
+        if type(c) is not LaurentPoly:
+            terms[w] = LaurentPoly(ring, c)
+    return NCPoly(alphabet, ring, terms)
+
+
 class NCPoly:
     """A finite sum of words with Laurent-polynomial coefficients.
 
@@ -236,13 +290,7 @@ class NCPoly:
         return self.ring.scalar(value)
 
     def scale(self, value) -> "NCPoly":
-        c0 = self._scalar(value)
-        out = {}
-        for w, c in self.terms.items():
-            s = c * c0
-            if not s.is_zero():
-                out[w] = s
-        return NCPoly(self.alphabet, self.ring, out)
+        return NCPoly.monomial(self.alphabet, self.ring, (), self._scalar(value)) * self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -251,10 +299,9 @@ class NCPoly:
             return NotImplemented
         self._require_compatible(other)
         out = {}
-        right = other.terms.items()
-        for w1, c1 in self.terms.items():
-            add_terms(out, [(w1 + w2, c1 * c2) for w2, c2 in right])
-        return NCPoly(self.alphabet, self.ring, out)
+        for w, c in self.terms.items():
+            add_product(out, c, w, other)
+        return as_ncpoly(self.alphabet, self.ring, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):

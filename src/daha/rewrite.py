@@ -14,10 +14,10 @@ single deterministic steps while touching each word once.  The recorded
 step list replays exactly on the input element, which is what the
 certificate format relies on.
 
-Every step runs through one kernel, :func:`substitute`, which adds its
-products straight into a working term map whose values are the caller's
-`LaurentPoly` coefficients, never written, or `{key: scalar}` dicts the
-kernel owns: the first write to a word copies its coefficient.
+Every step, and the two steps of a critical pair, is a call of
+:func:`substitute`, which hands the rule's rhs and the words around the
+match to the product kernel :func:`daha.ncpoly.add_product`; it adds into
+a working term map in place, copying a coefficient on its first write.
 
 Completion checks a critical pair again only when one of its two rules has
 changed since the pair was last found resolved.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .coeffring import OUT_OF_RANGE, LaurentPoly, ParamRing, monomial_inverse
+from .coeffring import ParamRing, monomial_inverse
 from .errors import (
     CertificateError,
     ExponentRangeError,
@@ -45,7 +45,7 @@ from .errors import (
     InsufficientCompletionError,
     OrientationError,
 )
-from .ncpoly import Alphabet, NCPoly, TermOrder, Word, fnv1a64
+from .ncpoly import Alphabet, NCPoly, TermOrder, Word, add_product, as_ncpoly, fnv1a64
 
 log = logging.getLogger("daha")
 
@@ -63,12 +63,6 @@ class RewriteRule:
     def text(self) -> tuple[str, str]:
         """The rendered lhs and rhs, as certificates list them; rendered once."""
         return self.rhs.alphabet.render_word(self.lhs), self.rhs.render()
-
-    @cached_property
-    def packed_rhs(self) -> tuple:
-        """The rhs as `substitute` reads it: `(word, ((key - bias, scalar), ...))`; built once."""
-        bias, terms = self.rhs.ring.bias, self.rhs.terms
-        return tuple((w, tuple((k - bias, x) for k, x in c.terms.items())) for w, c in terms.items())
 
     def render(self, alphabet: Alphabet) -> str:
         return f"{alphabet.render_word(self.lhs)} -> {self.rhs.render()}"
@@ -169,51 +163,10 @@ class EqualityVerdict:
 
 
 def substitute(terms: dict, word: Word, pos: int, rule: RewriteRule, coeff) -> list:
-    """The one rewrite step: add `coeff * pre * rule.rhs * suf` into `terms`
-    in place, where `pre` and `suf` surround the lhs match at `pos` in
-    `word` (which the caller has removed).  `coeff` and each value of `terms`
-    is a `LaurentPoly`, only read, or a `{key: scalar}` dict this kernel made;
-    the first write to a word holding a `LaurentPoly` copies its terms into
-    such a dict (copy-on-write).  Keeps `terms` free of zero coefficients;
-    returns the words that were not in `terms` before.  An exponent out of
-    range raises :class:`ExponentRangeError` and leaves `terms` unusable."""
-    pre = word[:pos]
-    suf = word[pos + len(rule.lhs) :]
-    source = (coeff.terms if type(coeff) is LaurentPoly else coeff).items()
-    guard = rule.rhs.ring.guard
-    inserted = []
-    for w2, pairs in rule.packed_rhs:
-        new_word = pre + w2 + suf
-        target = terms.get(new_word)
-        if target is None:
-            target = terms[new_word] = {}
-            inserted.append(new_word)
-        elif type(target) is LaurentPoly:
-            target = terms[new_word] = dict(target.terms)
-        get = target.get
-        for k1, c1 in source:
-            for k2, c2 in pairs:
-                key = k1 + k2
-                if key & guard:
-                    raise ExponentRangeError(OUT_OF_RANGE)
-                c = c1 * c2  # nonzero: the base rings are fields
-                old = get(key)
-                s = c if old is None else old + c
-                if s:
-                    target[key] = s
-                else:
-                    del target[key]
-        if not target:
-            del terms[new_word]
-    return inserted
-
-
-def as_ncpoly(alphabet: Alphabet, ring: ParamRing, terms: dict) -> NCPoly:
-    """A `substitute` term map as an element, in place: each dict value becomes a `LaurentPoly`."""
-    for w, c in terms.items():
-        if type(c) is not LaurentPoly:
-            terms[w] = LaurentPoly(ring, c)
-    return NCPoly(alphabet, ring, terms)
+    """The one rewrite step: :func:`daha.ncpoly.add_product` of `coeff * pre *
+    rule.rhs * suf` into `terms`, where `pre` and `suf` surround the lhs match
+    at `pos` in `word` (which the caller has removed); returns the new words."""
+    return add_product(terms, coeff, word[:pos], rule.rhs, word[pos + len(rule.lhs) :])
 
 
 def step_in_place(terms: dict, step: ReductionStep, rules: Mapping, alphabet: Alphabet):
@@ -463,12 +416,11 @@ class RewriteSystem:
 
     def ambiguity_difference(self, amb: AmbiguityRecord) -> NCPoly:
         """Difference of the two one-step reductions of the ambiguous word."""
-        sides = []
-        for rule_id, pos in ((amb.rule1, amb.pos1), (amb.rule2, amb.pos2)):
-            terms = {amb.word: self.ring.one()}
-            step_in_place(terms, ReductionStep(rule_id, pos, amb.word), self.rules, self.alphabet)
-            sides.append(as_ncpoly(self.alphabet, self.ring, terms))
-        return sides[0] - sides[1]
+        terms: dict = {}
+        one = self.ring.one()
+        substitute(terms, amb.word, amb.pos1, self.rules[amb.rule1], one)
+        substitute(terms, amb.word, amb.pos2, self.rules[amb.rule2], -one)
+        return as_ncpoly(self.alphabet, self.ring, terms)
 
     def _orient(self, diff: NCPoly, amb: AmbiguityRecord | None = None) -> RewriteRule:
         """Turn a fully reduced nonzero relation into a rule; `amb` is the
@@ -491,7 +443,10 @@ class RewriteSystem:
                 f"{diff.render()} = 0 is not a unit; cannot orient{source}"
             )
         head = NCPoly.monomial(self.alphabet, self.ring, word, coeff)
-        rhs = (head - diff) * monomial_inverse(coeff)
+        try:
+            rhs = (head - diff) * monomial_inverse(coeff)
+        except ExponentRangeError as exc:
+            raise ExponentRangeError(f"{exc}{source}") from None
         return self._add_rule(word, rhs)
 
     def _interreduce(self):

@@ -161,9 +161,7 @@ class Workspace:
         return alg
 
     def specialized(self, tag: str) -> AlgebraPresentation:
-        """H_generic at q = 1, q = -1, or q = s (s^2 = -1)."""
-        if tag in self._cache:
-            return self._cache[tag]
+        """H_generic at q = 1, q = -1, or q = s (s^2 = -1), built anew on each call."""
         source = self.algebra("H_generic")
         kl = [("k0", True), ("k1", True), ("l0", True), ("l1", True)]
         if tag == "H_q1":
@@ -180,7 +178,6 @@ class Workspace:
             raise ValueError(f"unknown specialization {tag!r}")
         alg = specialize_presentation(source, {q_symbol(source): value}, ring, tag)
         alg.complete(self.degree)
-        self._cache[tag] = alg
         return alg
 
 
@@ -505,17 +502,12 @@ def run_suite(
     _run_named(name, col, ws)
     result = SuiteResult(name, degree, tuple(col.checks))
     if output is not None:
-        payload = result.to_json()
         cert_dir = os.path.splitext(output)[0] + "-certs"
         os.makedirs(cert_dir, exist_ok=True)
-        for check in payload["checks"]:
-            cert = col.certificates.get(check["name"])
-            if cert is None:
-                continue
-            filename = _certificate_filename(check["name"])
-            write_json(certificate_to_json(cert), os.path.join(cert_dir, filename))
-            check["certificate"] = filename
-        write_json(payload, output)
-        for check_result, check in zip(result.checks, payload["checks"]):
-            check_result.certificate = check["certificate"]
+        for check in result.checks:
+            cert = col.certificates.get(check.name)
+            if cert is not None:
+                check.certificate = _certificate_filename(check.name)
+                write_json(certificate_to_json(cert), os.path.join(cert_dir, check.certificate))
+        write_json(result.to_json(), output)
     return result

@@ -135,6 +135,35 @@ def test_exponent_out_of_range_exits_2(capsys, expr, where):
 
 # -- complete ----------------------------------------------------------------------
 
+RANGE_IN_ORIENTATION = """
+[algebra]
+name = f
+params = Q inv,
+generators = u, v
+
+[rules]
+v*v = Q^-1073741824*u
+v*v = v
+
+[order]
+permutation = v, u
+"""
+
+
+def test_orientation_range_error_names_its_ambiguity(capsys, tmp_path):
+    # the two rules leave Q^-1073741824*u - v, whose leading coefficient inverts out of range
+    path = tmp_path / "f.alg"
+    path.write_text(RANGE_IN_ORIENTATION)
+    code, out, err = run(capsys, "complete", "--algebra", str(path), "--degree", "4")
+    assert code == 2
+    assert not out
+    assert err == (
+        "error: parameter exponent outside -1073741824..1073741823; "
+        "it comes from the inclusion ambiguity of rules 1 and 2 on v*v\n"
+    )
+    assert "Traceback" not in err
+
+
 def test_complete_json(capsys, tmp_path):
     out_path = tmp_path / "rules.json"
     code, out, err = run(capsys, "complete", "--degree", "6", "--json", str(out_path))

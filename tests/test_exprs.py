@@ -351,6 +351,15 @@ def test_load_presentation_minimal():
     assert spec.base == RATIONALS  # defaulted
     assert spec.order is None
     assert spec.params == (("c", False),)
+    # without commas, a name followed by `inv` is one invertible parameter
+    for params, expected in (
+        ("c inv", (("c", True),)),
+        ("c d", (("c", False), ("d", False))),
+        ("c inv d", (("c", True), ("d", False))),
+        ("c, d inv", (("c", False), ("d", True))),
+    ):
+        spec = load_presentation(MINIMAL.replace("params = c", f"params = {params}"))
+        assert spec.params == expected, params
 
 
 @pytest.mark.parametrize(
@@ -365,6 +374,7 @@ def test_load_presentation_minimal():
         lambda t: t.replace("name = pair", "name = pair\nflavor = odd"),
         lambda t: t + "\n[order]\nwrong = u\n",
         lambda t: t.replace("u*u = c*u - 1", ""),
+        lambda t: t.replace("params = c", "params = c inv inv d"),
     ],
 )
 def test_load_presentation_rejects(mutation):

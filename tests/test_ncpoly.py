@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daha import (
@@ -124,6 +124,38 @@ def test_pow_and_scale(p):
     assert p ** 2 == p * p
     assert p.scale(3) == p + p + p
     assert p.scale(UR.param("Q")) == UR.param("Q") * p
+
+
+# multi-term coefficients in cT0 and the invertible Q, negative powers of Q included
+laurent = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-2, 2)).map(lambda e: (e[0], 0, 0, 0, e[1])),
+    st.integers(-3, 3).filter(bool) | st.fractions(-2, 2, max_denominator=3).filter(bool),
+    min_size=1, max_size=3,
+).map(UR.poly)
+laurent_polys = st.dictionaries(words, laurent, max_size=4).map(
+    lambda t: NCPoly.from_terms(AB, UR, t)
+)
+
+C = UR.param("Q", -1) + 2 * UR.param("cT0")
+
+
+def copies(p):
+    """The term map of `p` down to each coefficient's own term map."""
+    return {w: dict(c.terms) for w, c in p.terms.items()}
+
+
+@given(laurent_polys, laurent_polys)
+# T0*T1 cancels: (C*T0 - T0*T1) * (T1 + C) = C^2*T0 - T0*T1*T1
+@example(mono("T0", C) - mono("T0 T1"), mono("T1") + C)
+@settings(**SETTINGS)
+def test_product_matches_term_by_term_reference(a, b):
+    before = copies(a), copies(b)
+    reference = NCPoly.zero(AB, UR)
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            reference = reference + NCPoly.monomial(AB, UR, w1 + w2, c1 * c2)
+    assert a * b == reference  # a cancelled word is absent from both
+    assert (copies(a), copies(b)) == before
 
 
 def test_noncommutative():

@@ -25,10 +25,12 @@ from daha import (
     canonical_hash,
     certificate_from_json,
     certificate_to_json,
+    four_cycle,
     make_rule,
     preset,
     replay,
     resolve_algebra,
+    semilinear_apply,
 )
 from daha.rewrite import as_ncpoly, step_in_place, substitute
 from conftest import normal_form_random, random_element
@@ -136,6 +138,20 @@ def test_the_kernel_writes_only_coefficients_it_made():
     for step in cert.steps:
         step_in_place(terms, step, alg.system.rules, alg.alphabet)
     assert as_ncpoly(alg.alphabet, alg.ring, terms) == nf
+    assert snapshot(p) == before
+    assert_unchanged(rules)
+    # the kernel's other callers: products, scaling, a semilinear map, parsing
+    q = alg.param("Q")
+    assert p * p == alg.parse(f"({p.render()})*({p.render()})")
+    assert p.scale(q) == NCPoly.from_terms(alg.alphabet, alg.ring, {w: c * q for w, c in p.terms.items()})
+    phi = four_cycle(alg)
+    images = {name: snapshot(image) for name, image in phi.images.items()}
+    image = semilinear_apply(phi, p)
+    assert semilinear_apply(phi, p) == image  # the second call reads the stored word images
+    assert {name: snapshot(image) for name, image in phi.images.items()} == images
+    assert alg.parse("(T0 + Q*V0)*(V0 - Q^-1*T1)") == alg.parse(
+        "T0*V0 - Q^-1*T0*T1 + Q*V0*V0 - V0*T1"
+    )
     assert snapshot(p) == before
     assert_unchanged(rules)
     # completion normalizes every rhs again; old and new rules keep theirs
