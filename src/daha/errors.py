@@ -62,4 +62,5 @@ class ParseError(DahaError, ValueError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos

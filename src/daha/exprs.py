@@ -17,19 +17,21 @@ never contain it, so certificate replay can parse with no context.
 
 Parsing is a tokenizer and a parser that evaluates as it reads, both
 built for the large renders that certificate replay reads back.
-`tokenize` runs one master regex over the text; the gaps between
-matches are whitespace, a catch-all group catches stray characters, and
-each token is a plain `(kind, text, pos)` tuple whose kind is "int",
-"name", "end" or the operator character itself.  The recursive-descent
-parser indexes that list directly, and each grammar rule returns the
-term map {word: coefficient} of the text it read; no syntax tree is
-built.  Names are looked up in tables built once per `parse_expr` call
-(generator name -> letter, parameter or `s` and its powers ->
-`LaurentPoly`), and a product folds its letters and single-term factors
-straight into one word and one coefficient; only factors with several
-terms are multiplied out.  Syntax and values are checked in the same
-pass, so the error reported is the first one met reading left to right;
-only a stray character, which the tokenizer meets, comes before all.
+`tokenize` is one `findall` of a master regex, after one `search` that
+refuses the first stray character: tokens are plain strings closed by an
+empty end token, and a token's kind is read from its text (an operator,
+a name, or an int by `str.isdecimal`, which is what `\d` matches).  The
+recursive-descent parser indexes that list and reports errors at a token
+index, which `parse_expr` turns into a character position only when it
+raises; each grammar rule returns the term map {word: coefficient} of
+the text it read, and no syntax tree is built.  Names are looked up in
+tables built once per `parse_expr` call (generator name -> letter,
+parameter or `s` and its powers -> `LaurentPoly`), and a product folds
+its letters and single-term factors straight into one word and one
+coefficient; only factors with several terms are multiplied out.  Syntax
+and values are checked in the same pass, so the error reported is the
+first one met reading left to right; only a stray character, which the
+tokenizer meets, comes before all.
 
 Input budgets keep hostile text from crashing or exhausting the
 process: `MAX_NESTING` bounds parentheses, `MAX_TERMS` every product
@@ -45,6 +47,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from .coeffring import BaseRing, LaurentPoly, ParamRing, monomial_inverse
@@ -70,26 +73,20 @@ MAX_DIGITS = 4300
 #: the smallest integer with more than MAX_DIGITS digits
 _TOO_LONG = 10**MAX_DIGITS
 
-_TOKEN = re.compile(
-    r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/()])|(?P<stray>\S)"
-)
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*^/()]")
+
+#: a stray character: the exact complement of whitespace and _TOKEN's classes
+_STRAY = re.compile(r"[^\s\dA-Za-z_+\-*^/()]")
 
 
 def tokenize(text: str) -> list:
-    """The tokens of `text` as (kind, text, pos) tuples, closed by an
-    ("end", "", len(text)) token."""
-    out = []
-    append = out.append
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "op":
-            kind = tok
-        elif kind == "stray":
-            raise ParseError(f"stray character {tok!r}", m.start())
-        append((kind, tok, m.start()))
-    append(("end", "", len(text)))
-    return out
+    """The tokens of `text` as strings, closed by an empty end token."""
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"stray character {stray.group()!r}", stray.start())
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    return tokens
 
 
 def _integer(text: str, pos: int) -> int:
@@ -127,9 +124,9 @@ def _bounded(c: LaurentPoly, pos: int) -> LaurentPoly:
 class _Parser:
     """Recursive descent over a token list that evaluates as it reads.  Each
     rule takes the index of its first token and returns the term map of the
-    text it read, the position its errors report (the first token of a sum
-    or product, the caret of a power, for parentheses that of the
-    expression inside) and the index after it."""
+    text it read, the token its errors report (the first token of a sum or
+    product, the caret of a power, for parentheses that of the expression
+    inside) and the index after it.  Its errors carry a token index."""
 
     __slots__ = ("tokens", "depth", "alphabet", "ring", "inv_resolver", "gens", "consts", "one")
 
@@ -144,32 +141,31 @@ class _Parser:
         self.one = ring.one()
 
     def expect(self, at: int, op: str) -> int:
-        kind, _, pos = self.tokens[at]
-        if kind != op:
-            raise ParseError(f"expected {op!r}", pos)
+        if self.tokens[at] != op:
+            raise ParseError(f"expected {op!r}", at)
         return at + 1
 
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def expr(self, at: int):
         tokens = self.tokens
-        kind, _, start = tokens[at]
-        negate = kind == "-"
-        if negate or kind == "+":
+        start = at
+        negate = tokens[at] == "-"
+        if negate or tokens[at] == "+":
             at += 1
         value, pos, at = self.term(at)
-        kind = tokens[at][0]
-        if not negate and kind != "+" and kind != "-":
+        op = tokens[at]
+        if not negate and op != "+" and op != "-":
             return value, pos, at
         out: dict = {}
         while True:
             add_terms(out, [(w, -c) for w, c in value.items()] if negate else value.items())
             if len(out) > MAX_TERMS:
                 raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
-            if kind != "+" and kind != "-":
+            if op != "+" and op != "-":
                 break
-            negate = kind == "-"
+            negate = op == "-"
             value, pos, at = self.term(at + 1)
-            kind = tokens[at][0]
+            op = tokens[at]
         for c in out.values():
             _bounded(c, start)
         return out, start, at
@@ -179,15 +175,15 @@ class _Parser:
         # letters, numbers, names and single-term factors fold into one word and one
         # coefficient, which join the next factor with several terms as it multiplies
         tokens, gens, one = self.tokens, self.gens, self.one
-        start = tokens[at][2]
+        start = at
         word, coeff, head = [], None, None
         single = True
         while True:
-            kind, text, pos = tokens[at]
+            pos, text = at, tokens[at]
             value = c = None
             plain = False  # a parameter or `s`, or a power of one, grows no digits
-            if kind == "name" and tokens[at + 1][0] != "^" and (
-                text != "inv" or tokens[at + 1][0] != "("
+            if text.isidentifier() and tokens[at + 1] != "^" and (
+                text != "inv" or tokens[at + 1] != "("
             ):
                 at += 1
                 i = gens.get(text)
@@ -195,9 +191,9 @@ class _Parser:
                     c, plain = self.constant(text, pos), True
                 else:
                     word.append(i)
-            elif kind == "int":
+            elif text.isdecimal():
                 c, at = self.number(at)
-                if tokens[at][0] == "^":
+                if tokens[at] == "^":
                     exponent, pos, at = self.exponent(at)
                     value = self.power({(): c} if c else {}, exponent, pos)
             else:
@@ -226,7 +222,7 @@ class _Parser:
                         raise ParseError(str(exc), pos) from None
                     if not plain:
                         _bounded(coeff, pos)
-            if tokens[at][0] != "*":
+            if tokens[at] != "*":
                 break
             at += 1
             single = False
@@ -247,17 +243,17 @@ class _Parser:
         with or without one; also returns whether it is a power of a
         parameter or `s`.  `term` folds bare names and numbers itself."""
         tokens = self.tokens
-        kind, text, pos = tokens[at]
-        if kind == "(":
+        pos, text = at, tokens[at]
+        if text == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             value, pos, at = self.expr(at + 1)
             self.depth -= 1
             at = self.expect(at, ")")
-        elif kind != "name":
+        elif not text.isidentifier():
             raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
-        elif text == "inv" and tokens[at + 1][0] == "(":
+        elif text == "inv" and tokens[at + 1] == "(":
             value, at = self.inverse(at + 2, pos)
         else:  # a name followed by a caret
             i = self.gens.get(text)
@@ -270,7 +266,7 @@ class _Parser:
                     power = self.consts[key] = self.scalar_power(c, exponent, caret)
                 return {(): power}, caret, at, True
             value, at = {(i,): self.one}, at + 1
-        if tokens[at][0] != "^":
+        if tokens[at] != "^":
             return value, pos, at, False
         exponent, caret, at = self.exponent(at)
         return self.power(value, exponent, caret), caret, at, False
@@ -278,31 +274,29 @@ class _Parser:
     def number(self, at: int):
         """rational := int ('/' int)?, as a constant and the index after it."""
         tokens = self.tokens
-        _, text, pos = tokens[at]
-        value = _integer(text, pos)
-        if tokens[at + 1][0] != "/":
+        value = _integer(tokens[at], at)
+        if tokens[at + 1] != "/":
             return self.ring.scalar(value), at + 1
-        kind, text, pos = tokens[at + 2]
-        if kind != "int":
-            raise ParseError("expected a denominator", pos)
-        den = _integer(text, pos)
+        at += 2
+        if not tokens[at].isdecimal():
+            raise ParseError("expected a denominator", at)
+        den = _integer(tokens[at], at)
         if den == 0:
-            raise ParseError("zero denominator", pos)
-        return self.ring.scalar(Fraction(value, den)), at + 3
+            raise ParseError("zero denominator", at)
+        return self.ring.scalar(Fraction(value, den)), at + 1
 
     def exponent(self, at: int):
-        """The signed integer after the caret at `at`, its position, the next index."""
+        """The signed integer after the caret at `at`, the caret's index, the next index."""
         tokens = self.tokens
-        caret = tokens[at][2]
+        caret = at
         at += 1
         sign = 1
-        if tokens[at][0] == "-":
+        if tokens[at] == "-":
             sign = -1
             at += 1
-        kind, text, pos = tokens[at]
-        if kind != "int":
-            raise ParseError("expected an integer exponent", pos)
-        return sign * _integer(text, pos), caret, at + 1
+        if not tokens[at].isdecimal():
+            raise ParseError("expected an integer exponent", at)
+        return sign * _integer(tokens[at], at), caret, at + 1
 
     def inverse(self, at: int, pos: int):
         """genproduct := '1' | name ('*' name)*, read from just after `inv(`
@@ -312,19 +306,19 @@ class _Parser:
             raise ParseError("inv() needs an algebra context", pos)
         tokens, gens = self.tokens, self.gens
         word = []
-        if tokens[at][:2] == ("int", "1"):
+        if tokens[at] == "1":
             at += 1
         else:
             while True:
-                kind, text, name_pos = tokens[at]
-                if kind != "name":
-                    raise ParseError("expected a generator name", name_pos)
+                text = tokens[at]
+                if not text.isidentifier():
+                    raise ParseError("expected a generator name", at)
                 i = gens.get(text)
                 if i is None:
                     raise ParseError(f"inv() takes generators only, got {text!r}", pos)
                 word.append(i)
                 at += 1
-                if tokens[at][0] != "*":
+                if tokens[at] != "*":
                     break
                 at += 1
         if len(word) > MAX_DEGREE:
@@ -414,10 +408,13 @@ def parse_expr(
 ) -> NCPoly:
     """The (unreduced) element of the free algebra that `text` denotes."""
     tokens = tokenize(text)
-    terms, _, at = _Parser(tokens, alphabet, ring, inv_resolver).expr(0)
-    kind, rest, pos = tokens[at]
-    if kind != "end":
-        raise ParseError(f"trailing input {rest!r}", pos)
+    try:
+        terms, _, at = _Parser(tokens, alphabet, ring, inv_resolver).expr(0)
+        if tokens[at]:
+            raise ParseError(f"trailing input {tokens[at]!r}", at)
+    except ParseError as exc:  # scan again up to the token it names; past the end, len(text)
+        m = next(islice(_TOKEN.finditer(text), exc.pos, None), None)
+        raise ParseError(exc.message, len(text) if m is None else m.start()) from None
     return NCPoly(alphabet, ring, terms)
 
 

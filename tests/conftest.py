@@ -7,6 +7,7 @@ degree) must build their own instance.
 """
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from daha import (
     AlphabetMismatchError,
     LaurentPoly,
     NCPoly,
+    ParseError,
     RewriteSystem,
     UnsupportedPresetError,
     monomial_inverse,
@@ -74,6 +76,27 @@ def word_compare(u, v, order) -> int:
     if any(not (0 <= g < n) for g in u + v):
         raise AlphabetMismatchError("word does not fit the order's alphabet")
     return order.compare(u, v)
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/()])|(?P<stray>\S)"
+)
+
+
+def reference_tokenize(text: str) -> list:
+    """The tokens of `text` as (kind, text, pos) tuples, closed by an
+    ("end", "", len(text)) token: a lexer that reads each match's group
+    and position, the oracle for `exprs.tokenize`."""
+    out = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "op":
+            kind = m.group()
+        elif kind == "stray":
+            raise ParseError(f"stray character {m.group()!r}", m.start())
+        out.append((kind, m.group(), m.start()))
+    out.append(("end", "", len(text)))
+    return out
 
 
 def exponent_terms(c: LaurentPoly) -> dict:

@@ -293,6 +293,37 @@ def test_replay_reports_malformed_certificates(capsys, tmp_path, mutate):
     assert not err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(
+        lambda d: d.update(initial=d["initial"].replace("2*", "2*@")),
+        "bad initial element: stray character '@' (at position 19)",
+        id="initial-stray",
+    ),
+    pytest.param(
+        lambda d: d.update(initial=d["initial"].replace("T1*V0", "T1*W0")),
+        "bad initial element: unknown symbol 'W0' (at position 22)",
+        id="initial-unknown-symbol",
+    ),
+    pytest.param(
+        lambda d: [r.update(rhs=r["rhs"] + " +") for r in d["rules"] if r["id"] == 8],
+        "bad rule 8: unexpected end of input (at position 55)",
+        id="rule-rhs",
+    ),
+])
+def test_replay_names_text_that_does_not_parse(capsys, tmp_path, mutate, message):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "reduce", "V0*V0*T0*V1*T1 + 2*T1*V0", "--degree", "6",
+        "--json", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    assert data["initial"] == "V0*V0*T0*V1*T1 + 2*T1*V0"
+    mutate(data)
+    cert_path.write_text(json.dumps(data))
+    outcome = replay(read_certificate(cert_path))
+    assert (outcome.ok, outcome.message) == (False, message)
+    code, out, err = run(capsys, "replay", str(cert_path))
+    assert (code, out, err) == (1, f"{cert_path}: invalid ({message})\n", "")
+
+
 # -- plumbing -----------------------------------------------------------------------
 
 def test_bad_order_on_preset_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Expression grammar and the presentation file format."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from daha import (
     preset,
 )
 
-from conftest import exponent_terms
+from conftest import exponent_terms, reference_tokenize
 
 AB = Alphabet(("T0", "T1", "V0", "V1"))
 UR = ParamRing(
@@ -319,6 +320,49 @@ def test_any_text_parses_or_raises_parse_error(udaha, text):
             parse(text)
         except ParseError:
             pass
+
+
+#: PIECES with Unicode whitespace, which separates tokens as a space does, and
+#: one more run of Unicode digits, which is an integer as ASCII digits are
+LEXER_PIECES = PIECES + ["\u00a0", "\u3000", "\u0663\u0966"]
+
+
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=30).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_matches_the_reference_lexer(udaha, text):
+    parsers = (udaha.parse, lambda t: parse_expr(t, AB, CYC4))
+    try:
+        reference = reference_tokenize(text)
+    except ParseError as stray:
+        # the first stray character is refused first, at the same position
+        for lex in (exprs.tokenize, *parsers):
+            with pytest.raises(ParseError) as info:
+                lex(text)
+            assert (str(info.value), info.value.pos) == (str(stray), stray.pos)
+        return
+    assert exprs.tokenize(text) == [tok for _, tok, _ in reference]
+    starts = {pos for _, _, pos in reference}  # the end token's is len(text)
+    for parse in parsers:
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert exc.pos in starts, text
+
+
+def test_parse_errors_match_the_pinned_table(udaha, data_dir):
+    # 240 seeded texts over PIECES and Unicode whitespace, with the message and
+    # position each parse gave under the (kind, text, pos) lexer; None if it parsed
+    table = json.loads((data_dir / "parse_errors.json").read_text(encoding="utf-8"))
+    assert len(table) == 240
+    for text, *expected in table:
+        got = []
+        for parse in (udaha.parse, lambda t: parse_expr(t, AB, CYC4)):
+            try:
+                parse(text)
+                got.append(None)
+            except ParseError as exc:
+                got.append(str(exc))
+        assert got == expected, text
 
 
 # -- presentation files -----------------------------------------------------------
