@@ -1,4 +1,4 @@
-"""Expression grammar for elements, plus the presentation file format.
+r"""Expression grammar for elements, plus the presentation file format.
 
 Grammar:
 

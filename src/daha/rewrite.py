@@ -1,10 +1,9 @@
 """Noncommutative rewriting with truncated critical-pair completion.
 
 A :class:`RewriteSystem` holds rules `lhs -> rhs` where `lhs` is a word
-that strictly dominates every word of `rhs` under a fixed deglex order.
-Because degree dominates, every rule is degree-nonincreasing, so all
-reductions of an element stay inside its degree slice and completion can
-be truncated at a degree bound without losing soundness there.
+that strictly dominates every word of `rhs` under a fixed deglex order,
+so every rule is degree-nonincreasing and all reductions of an element
+stay inside its degree slice.
 
 Reduction is deterministic: highest remaining word first, leftmost
 match, lowest rule id.  Normal forms are computed with a max-heap over
@@ -19,14 +18,16 @@ Every step, and the two steps of a critical pair, is a call of
 match to the product kernel :func:`daha.ncpoly.add_product`; it adds into
 a working term map in place, copying a coefficient on its first write.
 
-Completion checks a critical pair again only when one of its two rules has
-changed since the pair was last found resolved.
+Completion checks a critical pair again only when one of its two rules
+has changed since it was last found resolved, inter-reduces only an rhs
+with a reducible word, and orients each new rule in one kernel call.
 
-`proved-equal` verdicts are sound at any completion degree (rewriting
-only subtracts multiples of relations); `distinct-at-degree` verdicts
-additionally need confluence up to the degree of the difference, so
-:meth:`RewriteSystem.check_equal` refuses to answer rather than guess
-when completion has not been pushed far enough.
+`proved-equal` is sound at any completion degree (rewriting only
+subtracts multiples of relations).  `distinct-at-degree` needs completion
+up to the difference's degree, or :meth:`RewriteSystem.check_equal`
+refuses; it is decisive for homogeneous relations only, since an ambiguity
+above the bound can yield a relation below it (`x*y -> 1` and `y*x -> 0`
+give x = x*y*x = 0, found only at degree 3).
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class ReductionCertificate:
 class EqualityVerdict:
     """Outcome of a mechanical equality check.
 
-    `verdict` is "proved-equal" or "distinct-at-degree"; the latter is
-    decisive for elements of degree at most `degree`.  `residual` is the
+    `verdict` is "proved-equal" or "distinct-at-degree", which is decisive
+    only for homogeneous relations (module docstring).  `residual` is the
     normal form of the difference (zero exactly when proved equal).
     """
 
@@ -380,10 +381,10 @@ class RewriteSystem:
     def check_equal(self, p: NCPoly, r: NCPoly | None = None, verbose: bool = False) -> EqualityVerdict:
         """Decide p = r in the presented algebra, with a certificate.
 
-        Reduction to zero proves equality outright.  A nonzero residual
-        only proves inequality when the system is confluent past the
-        difference's degree, so an under-completed system raises
-        :class:`InsufficientCompletionError` instead of answering.
+        Reduction to zero proves equality.  A system completed below the
+        difference's degree raises :class:`InsufficientCompletionError`;
+        otherwise a nonzero residual proves p != r for homogeneous relations
+        only, since completion past that degree may still find a relation.
         """
         diff = p if r is None else p - r
         if diff and self.confluence_degree < diff.degree():
@@ -426,34 +427,34 @@ class RewriteSystem:
         """Turn a fully reduced nonzero relation into a rule; `amb` is the
         ambiguity it came from, named when the relation cannot be oriented."""
         word, coeff = diff.leading_term(self.order)
-        source = ""
-        if amb is not None:
-            source = (
+
+        def source():  # formatted only for an error
+            return "" if amb is None else (
                 f"; it comes from the {amb.kind} ambiguity of rules {amb.rule1} "
-                f"and {amb.rule2} on {self.alphabet.render_word(amb.word)}"
-            )
+                f"and {amb.rule2} on {self.alphabet.render_word(amb.word)}")
         if not word:
             raise OrientationError(
                 f"a nonzero scalar {diff.render()} lies in the ideal; "
-                f"the presentation collapses{source}"
+                f"the presentation collapses{source()}"
             )
         if not coeff.is_unit():
             raise OrientationError(
                 f"leading coefficient {coeff.render()} of the derived relation "
-                f"{diff.render()} = 0 is not a unit; cannot orient{source}"
+                f"{diff.render()} = 0 is not a unit; cannot orient{source()}"
             )
-        head = NCPoly.monomial(self.alphabet, self.ring, word, coeff)
+        terms: dict = {}
         try:
-            rhs = (head - diff) * monomial_inverse(coeff)
+            add_product(terms, -monomial_inverse(coeff), (), diff)
         except ExponentRangeError as exc:
-            raise ExponentRangeError(f"{exc}{source}") from None
-        return self._add_rule(word, rhs)
+            raise ExponentRangeError(f"{exc}{source()}") from None
+        del terms[word]  # its coefficient is -1: the rhs is word - diff/coeff
+        return self._add_rule(word, as_ncpoly(self.alphabet, self.ring, terms))
 
     def _interreduce(self):
         """Keep the rule set reduced: no lhs reducible by the others, every
-        rhs in normal form.  Rhs updates keep their rule id; a rule whose
-        lhs falls gets retired and its surviving content re-oriented under
-        a fresh id."""
+        rhs in normal form (an rhs with no reducible word already is).  Rhs
+        updates keep their rule id; a rule whose lhs falls gets retired and
+        its surviving content re-oriented under a fresh id."""
         while True:
             for rule in self.sorted_rules():
                 if self._reducible_by_others(rule):
@@ -463,9 +464,8 @@ class RewriteSystem:
                     if survivor:
                         self._orient(survivor)
                     break  # the lhs set changed: scan again
-                reduced = self.nf(rule.rhs)
-                if reduced != rule.rhs:
-                    self._replace_rhs(rule.id, reduced)
+                if any(map(self.find_redex, rule.rhs.terms)):
+                    self._replace_rhs(rule.id, self.nf(rule.rhs))
             else:
                 # no lhs changed, so every rhs normalized in this scan stays normal
                 return

@@ -354,33 +354,38 @@ def test_completion_detects_collapse():
         system.complete_to_degree(4)
 
 
-def _completed_rules(name, order, degrees) -> str:
-    """The rendered rule set after completing to each degree in turn, or
-    the refusal message."""
+def _completed_rules(name, order, degrees, reports=False) -> str:
+    """The rendered rule set after completing to each degree in turn, led
+    by the completion reports if `reports`, or the refusal message."""
     alg = preset(name, order=order)
     try:
-        for degree in degrees:
-            alg.complete(degree)
+        done = [alg.complete(degree) for degree in degrees]
     except OrientationError as exc:
         return f"refused: {exc}"
-    return "; ".join(f"[{r.id}] {r.render(alg.alphabet)}" for r in alg.system.sorted_rules())
+    rules = "; ".join(f"[{r.id}] {r.render(alg.alphabet)}" for r in alg.system.sorted_rules())
+    return f"{', '.join(map(str, done))}: {rules}" if reports else rules
 
 
 ORDERS = list(itertools.permutations(("T0", "T1", "V0", "V1")))
 
 
-def test_completed_rule_sets_are_pinned():
-    # rule ids, left and right sides and refusal messages of both presets
-    # under all 24 precedences at degree 5; skipping resolved pairs must
-    # not move any of them
+def _pinned_digest(degree, reports) -> str:
     lines = [
-        f"{name} {','.join(order)}: {_completed_rules(name, order, [5])}"
+        f"{name} {','.join(order)}: {_completed_rules(name, order, [degree], reports)}"
         for name in ("H_generic", "UDAHA_model")
         for order in ORDERS
     ]
     assert sum("refused: " in line for line in lines) == 10
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "be97064b2ac6f7d10d93656cf51ec77b7e43c8de5f76bb3154ae54c31d216288"
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_completed_rule_sets_are_pinned():
+    # rule ids, left and right sides and refusal messages of both presets
+    # under all 24 precedences at degree 5, and at degree 7 with each
+    # completion report; skipping resolved pairs or settled right-hand
+    # sides must not move any of them
+    assert _pinned_digest(5, False) == "be97064b2ac6f7d10d93656cf51ec77b7e43c8de5f76bb3154ae54c31d216288"
+    assert _pinned_digest(7, True) == "a295279f632fce6f72356f6c7f5f9b0a35111db49c4bf93fef9e5b407cc5c251"
 
 
 @pytest.mark.parametrize("name", ["H_generic", "UDAHA_model"])

@@ -3,9 +3,11 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ENGINE = SCRIPTS.parent / "src" / "daha"
 
 
 def run_script(name, *args):
@@ -70,3 +72,14 @@ def test_show_systems_ends_quietly_when_its_reader_closes():
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in stderr
     assert stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def test_sources_compile_without_warnings():
+    # an invalid escape such as "\\d" in a non-raw string warns at compile
+    # time (DeprecationWarning on 3.11, SyntaxWarning from 3.12)
+    paths = sorted(ENGINE.rglob("*.py")) + sorted(SCRIPTS.rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")
