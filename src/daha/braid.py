@@ -58,7 +58,7 @@ class BraidWord:
         return cls(0, ())
 
     @classmethod
-    def from_letters(cls, letters: Iterable[str]) -> "BraidWord":
+    def parse(cls, letters: Iterable[str]) -> "BraidWord":
         """Normalize a letter sequence over b, B, c, C, a, A.
 
         Capitals are inverses, eliminated via b^-1 = a^-1 b^2 and
@@ -105,10 +105,6 @@ class BraidWord:
                 raise ParseError(f"bad braid letter {ch!r}", pos)
         return cls(a_power, tuple(stack))
 
-    @classmethod
-    def parse(cls, text: str) -> "BraidWord":
-        return cls.from_letters(text)
-
     def letters(self) -> str:
         """Letter rendition; parsing it back reproduces the word."""
         prefix = ("a" if self.a_power > 0 else "A") * abs(self.a_power)
@@ -120,11 +116,11 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
             return NotImplemented
-        merged = BraidWord.from_letters("".join(self.tail) + "".join(other.tail))
+        merged = BraidWord.parse("".join(self.tail) + "".join(other.tail))
         return BraidWord(self.a_power + other.a_power + merged.a_power, merged.tail)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord.from_letters(self.letters().swapcase()[::-1])
+        return BraidWord.parse(self.letters().swapcase()[::-1])
 
     def __pow__(self, power: int) -> "BraidWord":
         out = BraidWord.identity()
@@ -137,7 +133,7 @@ class BraidWord:
 def b3_normal_form(letters: Union[str, Iterable[str], BraidWord]) -> BraidWord:
     if isinstance(letters, BraidWord):
         return letters
-    return BraidWord.from_letters(letters)
+    return BraidWord.parse(letters)
 
 
 def _syllable_maps(algebra: AlgebraPresentation) -> dict:

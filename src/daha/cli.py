@@ -170,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="term-order precedence as a comma-separated generator list",
         )
         p.add_argument("--json", default=None, help="write JSON output to this path")
-        p.add_argument(
-            "--verbose-cert",
-            action="store_true",
-            help="include intermediate states in certificates",
-        )
 
     p = sub.add_parser("reduce", help="reduce an expression to normal form")
     p.add_argument("expr")
@@ -201,6 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=SUITE_NAMES)
     common(p)
     p.set_defaults(func=_cmd_suite)
+
+    for name in ("reduce", "check-equal", "suite"):  # the commands that write certificates
+        sub.choices[name].add_argument("--verbose-cert", action="store_true",
+                                       help="include intermediate states in certificates")
 
     p = sub.add_parser("replay", help="replay reduction certificates")
     p.add_argument("paths", nargs="+")

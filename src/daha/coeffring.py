@@ -576,42 +576,38 @@ def specialize(
 
 
 def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Exact division in the Laurent ring; raises
-    :class:`ExactDivisionError` when `d` does not divide `p`.
-
-    Exponents are shifted to be nonnegative, then ordinary sparse
-    multivariate division by the single divisor runs under graded-lex.
-    """
+    """Exact division in the Laurent ring; raises :class:`ExactDivisionError`
+    when `d` does not divide `p`, :class:`ExponentRangeError` when the quotient
+    leaves the exponent range.  Long division by the leading key of `d` (key
+    order is lex order, a group order), so each quotient key is `top - lead +
+    bias`.  An exact quotient's exponents lie between `min_p - min_d` and
+    `max_p - max_d`; a term outside that box proves a remainder, and the
+    finite box ends the loop."""
     if p.ring is not d.ring and p.ring != d.ring:
         raise IncompatibleRingError("division across different rings")
     if d.is_zero():
         raise ExactDivisionError("division by zero")
     ring = p.ring
-    p_terms = {ring.unpack(key): c for key, c in p.terms.items()}
-    d_terms = {ring.unpack(key): c for key, c in d.terms.items()}
-    # full per-coordinate minimum, so the shifted poly has a zero exponent
-    # in every coordinate; monomial shifts are units in the Laurent ring,
-    # hence exactness is unaffected
-    sp = tuple(map(min, zip(*p_terms)))
-    sd = tuple(map(min, zip(*d_terms)))
-    rem = {tuple(map(sub, exps, sp)): c for exps, c in p_terms.items()}
-    den = {tuple(map(sub, exps, sd)): c for exps, c in d_terms.items()}
-
-    def grlex(e):
-        return (sum(e), e)
-
-    lead = max(den, key=grlex)
-    lead_inv = ring.base.inv(den[lead])
-    quotient: dict[tuple[int, ...], Scalar] = {}
+    bias, guard, unpack, element = ring.bias, ring.guard, ring.unpack, ring.base.element
+    box = [
+        (min(pe) - min(de), max(pe) - max(de))
+        for pe, de in zip(zip(*map(unpack, p.terms)), zip(*map(unpack, d.terms)))
+    ]
+    lead = max(d.terms)
+    lead_inv = ring.base.inv(d.terms[lead])
+    rem = dict(p.terms)
+    quotient: dict[int, Scalar] = {}
     while rem:
-        e = max(rem, key=grlex)
-        qe = tuple(map(sub, e, lead))
-        if min(qe, default=0) < 0:
+        top = max(rem)
+        qk = top - lead + bias
+        if qk & guard:
+            raise ExponentRangeError(OUT_OF_RANGE)
+        if not all(lo <= e <= hi for (lo, hi), e in zip(box, unpack(qk))):
             raise ExactDivisionError("remainder is nonzero")
-        qc = rem[e] * lead_inv
-        quotient[qe] = qc
-        for de, dc in den.items():
-            key = tuple(map(add, qe, de))
+        qc = quotient[qk] = element(rem[top] * lead_inv)
+        qk -= bias
+        for dk, dc in d.terms.items():
+            key = qk + dk  # inside the exponent box of p, so in range
             c = qc * dc
             old = rem.get(key)
             s = -c if old is None else old - c
@@ -619,9 +615,7 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
                 rem[key] = s
             else:
                 del rem[key]
-    unshift = tuple(map(sub, sp, sd))
-    try:
-        return ring.poly({tuple(map(add, exps, unshift)): c for exps, c in quotient.items()})
-    except NotAUnitError:
-        # exact in the Laurent extension but not in this ring
-        raise ExactDivisionError("quotient leaves the ring") from None
+    if any(lo < 0 and not flag for (lo, _), flag in zip(box, ring.invertible)):
+        # exact in the Laurent extension, whose quotient reaches lo, but not in this ring
+        raise ExactDivisionError("quotient leaves the ring")
+    return LaurentPoly(ring, quotient)

@@ -333,22 +333,13 @@ class RewriteSystem:
         return self.normal_form(p)[0]
 
     def irreducible_words(self, max_degree: int) -> list:
-        """All normal-form words of degree at most `max_degree`."""
-        lhs_words = {rule.lhs for rule in self.rules.values()}
-        max_len = max((len(w) for w in lhs_words), default=0)
-        out = [()]
-        frontier = [()]
+        """All normal-form words of degree at most `max_degree`: each
+        irreducible word extended by one letter that `find_redex` passes."""
+        out, frontier = [()], [()]
         for _ in range(max_degree):
-            grown = []
-            for word in frontier:
-                for g in range(len(self.alphabet)):
-                    cand = word + (g,)
-                    top = min(max_len, len(cand))
-                    if any(cand[len(cand) - k :] in lhs_words for k in range(1, top + 1)):
-                        continue
-                    grown.append(cand)
-            out.extend(grown)
-            frontier = grown
+            grown = (word + (g,) for word in frontier for g in range(len(self.alphabet)))
+            frontier = [w for w in grown if self.find_redex(w) is None]
+            out += frontier
         return sorted(out, key=self.order.key)
 
     # -- certificates and equality -----------------------------------------------

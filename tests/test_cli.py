@@ -70,6 +70,17 @@ def test_check_equal_exit_codes(capsys):
     assert "distinct-at-degree" in out
 
 
+def test_check_equal_writes_certificate(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "check-equal", "V0*T0*V1*T1", "Q^-1", "--degree", "6",
+                       "--json", str(cert_path), "--verbose-cert")
+    assert code == 0
+    assert f"certificate: {cert_path}" in out
+    cert = read_certificate(cert_path)
+    assert cert.final == "0" and len(cert.states) == len(cert.steps) > 0
+    assert replay(cert).ok
+
+
 def test_check_equal_error_exit(capsys):
     code, _, err = run(capsys, "check-equal", "T0*T1", "T1*T0*", "--degree", "6")
     assert code == 2
@@ -198,6 +209,25 @@ def test_braid_act_identity_word(capsys):
     assert "result:  T0" in out
 
 
+def test_braid_act_writes_report(capsys, tmp_path):
+    out_path = tmp_path / "act.json"
+    code, out, _ = run(capsys, "braid-act", "bB", "T0", "--degree", "4",
+                       "--json", str(out_path))
+    assert code == 0
+    assert f"report: {out_path}" in out
+    assert json.loads(out_path.read_text()) == {
+        "algebra": "UDAHA_model", "word": "", "input": "T0", "result": "T0",
+    }
+
+
+@pytest.mark.parametrize("command", [("complete",), ("braid-act", "b", "T0")])
+def test_verbose_cert_only_where_certificates_are_written(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--verbose-cert"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --verbose-cert" in capsys.readouterr().err
+
+
 # -- suite --------------------------------------------------------------------------
 
 def test_suite_pass_output(capsys):
@@ -274,6 +304,15 @@ def test_replay_command(capsys, tmp_path):
     assert code == 2
 
 
+def test_replay_reports_a_file_that_is_not_json(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, "replay", str(path))
+    assert code == 1
+    assert out.startswith(f"{path}: invalid (not valid JSON: ")
+    assert not err
+
+
 @pytest.mark.parametrize("mutate", [
     pytest.param(lambda d: d["steps"][0].update(position="0"), id="position-str"),
     pytest.param(lambda d: d["steps"][0].update(position=0.0), id="position-float"),
@@ -308,6 +347,11 @@ def test_replay_reports_malformed_certificates(capsys, tmp_path, mutate):
         lambda d: [r.update(rhs=r["rhs"] + " +") for r in d["rules"] if r["id"] == 8],
         "bad rule 8: unexpected end of input (at position 55)",
         id="rule-rhs",
+    ),
+    pytest.param(
+        lambda d: d["rules"].append(dict(d["rules"][0])),
+        "duplicate rule id 1",
+        id="duplicate-rule-id",
     ),
 ])
 def test_replay_names_text_that_does_not_parse(capsys, tmp_path, mutate, message):

@@ -291,6 +291,33 @@ def test_divide_exact_failures():
         divide_exact(q, other.param("Q"))
 
 
+def test_divide_exact_edge_cases():
+    q = UR.param("Q")
+    # the quotient Q^(2^30) exists but lies outside the exponent range
+    with pytest.raises(ExponentRangeError):
+        divide_exact(UR.param("Q", EXPONENT_LIMIT - 1), UR.param("Q", -1))
+    with pytest.raises(ExactDivisionError, match="quotient leaves the ring"):
+        divide_exact(UR.one(), UR.param("cT0"))
+    # not exact in two invertible parameters: the division stops with an error
+    two = ParamRing(RATIONALS, [("a", True), ("b", True)])
+    a, b = two.param("a"), two.param("b")
+    with pytest.raises(ExactDivisionError, match="remainder is nonzero"):
+        divide_exact(a * a + b, a - b * b + 1)
+    with pytest.raises(ExactDivisionError, match="remainder is nonzero"):
+        divide_exact(a ** -3 + b ** 2, a * b - 1)
+    assert divide_exact((a ** -2 - b) * (a - b ** -1), a - b ** -1) == a ** -2 - b
+    assert divide_exact(UR.zero(), q + 1) == UR.zero()
+    # over cyclotomic(4) the first subtraction reaches q^2, absent from the
+    # remainder: (q + s)*(q^2 - s*q + 1) = q^3 + 2*q + s, as s^2 = -1
+    cyc = ParamRing(BaseRing.cyclotomic(4), [("q", True)])
+    s, x = cyc.scalar(cyc.base.generator()), cyc.param("q")
+    divisor = x * x - s * x + 1
+    assert (x + s) * divisor == x ** 3 + 2 * x + s
+    assert divide_exact(x ** 3 + 2 * x + s, divisor) == x + s
+    with pytest.raises(ExactDivisionError, match="remainder is nonzero"):
+        divide_exact(x ** 3 + s, divisor)
+
+
 def test_divide_exact_random_products():
     rng = random.Random(20260814)
     names = UR.params

@@ -419,6 +419,10 @@ def test_load_presentation_minimal():
         lambda t: t + "\n[order]\nwrong = u\n",
         lambda t: t.replace("u*u = c*u - 1", ""),
         lambda t: t.replace("params = c", "params = c inv inv d"),
+        lambda t: t[t.index("[rules]") :],
+        lambda t: t[: t.index("[rules]")],
+        lambda t: t.replace("name = pair", "name = pair\nname = other"),
+        lambda t: t.replace("name = pair", "name = pair\nbase = gaussian"),
     ],
 )
 def test_load_presentation_rejects(mutation):

@@ -45,6 +45,10 @@ def test_show_systems_runs():
     for name in ("H_generic", "UDAHA_model", "CentralPair"):
         assert f"== {name} ==" in proc.stdout
     assert "irreducible words by degree: 0:1" in proc.stdout
+    counts = [line for line in proc.stdout.splitlines() if line.startswith("irreducible words")]
+    four_letters = "irreducible words by degree: 0:1, 1:4, 2:8, 3:12, 4:16, 5:20, 6:24"
+    two_letters = "irreducible words by degree: 0:1, 1:2, 2:2, 3:2, 4:2, 5:2, 6:2"
+    assert counts == [four_letters, four_letters, two_letters]  # H_generic, UDAHA_model, CentralPair
     assert "ambiguities checked, " in proc.stdout
     assert "skipped as already resolved" in proc.stdout
 

@@ -1,5 +1,6 @@
 """Named verification suites: determinism, overrides, negative controls."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -8,6 +9,7 @@ import pytest
 
 from daha import SUITE_NAMES, PresentationError, Workspace, load_presentation, replay, run_suite
 from daha import read_certificate
+from daha.algebras import presentation_spec
 
 
 def strip_timing(payload: dict) -> dict:
@@ -66,6 +68,15 @@ def test_override_replaces_the_model(data_dir):
     result = run_suite("lemma3.7", degree=6, override=spec)
     assert result.passed
     assert all(c.algebra == "UDAHA_model" for c in result.checks)
+
+
+def test_override_without_the_model_generators_fails_setup():
+    spec = dataclasses.replace(presentation_spec("CentralPair"), name="UDAHA_model")
+    result = run_suite("thm5.1", degree=4, override=spec)
+    assert [check.line() for check in result.checks] == [
+        "FAIL thm5.1/setup: error: UDAHA_model has no generator T0; x, y, z are undefined"
+    ]
+    assert not result.passed
 
 
 def test_broken_presentation_fails_value_checks(data_dir):
