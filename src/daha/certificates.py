@@ -1,13 +1,17 @@
 """Serialization and replay of reduction certificates.
 
 A certificate carries its own context: the algebra description, the
-term order, a snapshot of the rules it used, and the rendered initial
-element.  Replay therefore needs nothing from the producing session; it
-rebuilds the ring and alphabet, applies every recorded step in place to
-one term map through the reduction's own kernel (copy-on-write, see
-:func:`daha.ncpoly.add_product`), in time linear in the number of steps,
-and compares hashes.  It deliberately does not re-run completion: a replay
-validates the reduction trace, not the provenance of the rules.
+term order, a snapshot of the rule set, and the rendered initial element.
+Replay therefore needs nothing from the producing session.  It builds the
+ring, alphabet and validated rules of each distinct snapshot (the JSON text
+of algebra, order and rules) once per process, in a small LRU that never
+keeps a failed build, with every check run as on a fresh build.  Each
+certificate then pays only for its own part: it parses its initial element,
+applies every recorded step in place to one term map through the
+reduction's own kernel (copy-on-write, see :func:`daha.ncpoly.add_product`),
+in time linear in the number of steps, and compares hashes.  Replay
+deliberately does not re-run completion: it validates the reduction trace,
+not the provenance of the rules.
 
 Tampering surfaces as one of: a hash mismatch, a wrong final rendering,
 or a failing step, reported with its 1-based index: an unknown rule id,
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .coeffring import BaseRing, ParamRing
 from .errors import CertificateError, DahaError, ExponentRangeError
@@ -121,7 +127,7 @@ def read_certificate(path) -> ReductionCertificate:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise CertificateError(f"not valid JSON: {exc}") from exc
     return certificate_from_json(data)
 
@@ -146,8 +152,13 @@ def replay(cert: ReductionCertificate) -> ReplayResult:
     return ReplayResult(True, "replayed clean", steps_done)
 
 
-def _replay_checked(cert: ReductionCertificate) -> int:
-    algebra = cert.algebra
+@lru_cache(maxsize=8)
+def _snapshot(text: str) -> tuple:
+    """The ring, alphabet and validated rules of one snapshot, built from the
+    JSON text of its `[algebra, order, rules]` and nothing else, so replay
+    builds each distinct snapshot once; a failing build is never cached.
+    The text keeps key order: a two-key object in `params` unpacks in it."""
+    algebra, precedence, rule_texts = json.loads(text)
     try:
         base = BaseRing.from_description(_typed(algebra["base"], str, "the base ring"))
         ring = ParamRing(
@@ -155,12 +166,12 @@ def _replay_checked(cert: ReductionCertificate) -> int:
         )
         generators = algebra["generators"]
         alphabet = Alphabet(tuple(_typed(name, str, "a generator") for name in generators))
-        order = TermOrder(alphabet, cert.order)
+        order = TermOrder(alphabet, precedence)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad algebra description: {exc}") from exc
 
     rules: dict[int, RewriteRule] = {}
-    for rule_id, lhs_text, rhs_text in cert.rules:
+    for rule_id, lhs_text, rhs_text in rule_texts:
         if rule_id in rules:
             raise CertificateError(f"duplicate rule id {rule_id}")
         try:
@@ -169,6 +180,14 @@ def _replay_checked(cert: ReductionCertificate) -> int:
         except (DahaError, ValueError) as exc:
             raise CertificateError(f"bad rule {rule_id}: {exc}") from exc
         rules[rule_id] = make_rule(order, rule_id, lhs, rhs)
+    return ring, alphabet, MappingProxyType(rules)
+
+
+def _replay_checked(cert: ReductionCertificate) -> int:
+    try:
+        ring, alphabet, rules = _snapshot(json.dumps([cert.algebra, cert.order, cert.rules]))
+    except (TypeError, ValueError, RecursionError) as exc:  # no JSON text, or too deep for one
+        raise CertificateError(f"bad algebra description: {exc}") from exc
 
     try:
         initial = parse_expr(cert.initial, alphabet, ring)

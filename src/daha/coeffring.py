@@ -327,16 +327,6 @@ class ParamRing:
         shift = SLOT_BITS * (len(self.params) - 1 - i)
         return LaurentPoly(self, {self.bias + (power << shift): self.base.one()})
 
-    def poly(self, terms: Mapping[tuple[int, ...], object]) -> "LaurentPoly":
-        """Build from an exponent-vector map, validating and dropping zeros."""
-        out: dict[int, Scalar] = {}
-        for exps, coeff in terms.items():
-            key = self.pack(exps)
-            coeff = self.base.element(coeff)
-            if coeff:
-                out[key] = coeff
-        return LaurentPoly(self, out)
-
 
 class LaurentPoly:
     """A sparse Laurent polynomial over a :class:`ParamRing`.

@@ -99,6 +99,18 @@ def reference_tokenize(text: str) -> list:
     return out
 
 
+def laurent_poly(ring, terms: dict) -> LaurentPoly:
+    """A coefficient of `ring` from an exponent-vector map, each vector
+    checked by `ring.pack`, zero coefficients dropped."""
+    out = {}
+    for exps, coeff in terms.items():
+        key = ring.pack(exps)
+        coeff = ring.base.element(coeff)
+        if coeff:
+            out[key] = coeff
+    return LaurentPoly(ring, out)
+
+
 def exponent_terms(c: LaurentPoly) -> dict:
     """The term map of a coefficient keyed by exponent vectors."""
     return {c.ring.unpack(key): x for key, x in c.terms.items()}

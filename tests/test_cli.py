@@ -1,12 +1,23 @@
 """The command-line surface, driven in-process plus one subprocess smoke test."""
 
+import dataclasses
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from daha import exprs, read_certificate, replay
+from daha import (
+    OrientationError,
+    certificate_from_json,
+    certificate_to_json,
+    certificates,
+    exprs,
+    preset,
+    read_certificate,
+    replay,
+)
 from daha.cli import main
 
 
@@ -313,6 +324,21 @@ def test_replay_reports_a_file_that_is_not_json(capsys, tmp_path):
     assert not err
 
 
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(b'\xff\xfe{"format": 1}',
+                 "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                 id="not-utf8"),
+    pytest.param(b"[" * 100000,
+                 "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+                 id="deep-nesting"),
+])
+def test_replay_reports_a_file_that_cannot_be_decoded(capsys, tmp_path, content, reason):
+    path = tmp_path / "cert.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "replay", str(path))
+    assert (code, out, err) == (1, f"{path}: invalid (not valid JSON: {reason})\n", "")
+
+
 @pytest.mark.parametrize("mutate", [
     pytest.param(lambda d: d["steps"][0].update(position="0"), id="position-str"),
     pytest.param(lambda d: d["steps"][0].update(position=0.0), id="position-float"),
@@ -353,8 +379,21 @@ def test_replay_reports_malformed_certificates(capsys, tmp_path, mutate):
         "duplicate rule id 1",
         id="duplicate-rule-id",
     ),
+    pytest.param(
+        lambda d: d["order"].__setitem__(0, ["T0"]),
+        "bad algebra description: '<' not supported between instances of 'str' and 'list'",
+        id="order-holds-a-list",
+    ),
+    pytest.param(
+        lambda d: d["algebra"]["params"].__setitem__(0, {"cT0": False}),
+        "bad algebra description: not enough values to unpack (expected 2, got 1)",
+        id="params-entry-object",
+    ),
 ])
 def test_replay_names_text_that_does_not_parse(capsys, tmp_path, mutate, message):
+    # replayed twice, in-process and by the CLI: a snapshot that fails to
+    # build is never cached, so both replays report it
+    certificates._snapshot.cache_clear()
     cert_path = tmp_path / "cert.json"
     run(capsys, "reduce", "V0*V0*T0*V1*T1 + 2*T1*V0", "--degree", "6",
         "--json", str(cert_path))
@@ -366,6 +405,79 @@ def test_replay_names_text_that_does_not_parse(capsys, tmp_path, mutate, message
     assert (outcome.ok, outcome.message) == (False, message)
     code, out, err = run(capsys, "replay", str(cert_path))
     assert (code, out, err) == (1, f"{cert_path}: invalid ({message})\n", "")
+
+
+def test_replay_rebuilds_the_snapshot_of_a_changed_rule(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "reduce", "V0*V0*T0*V1*T1 + 2*T1*V0", "--degree", "6",
+        "--json", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    original = certificate_from_json(data)
+    used = data["steps"][0]["rule"]
+    for rule in data["rules"]:
+        if rule["id"] == used:
+            rule["rhs"] += " + 2"
+    changed = certificate_from_json(data)
+
+    certificates._snapshot.cache_clear()
+    cold = [replay(original), replay(changed)]
+    warm = [replay(original), replay(changed)]
+    assert [(r.ok, r.message) for r in cold] == [
+        (True, "replayed clean"), (False, "final hash mismatch")]
+    assert warm == cold
+    info = certificates._snapshot.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+
+def test_replay_interleaves_more_snapshots_than_the_cache_holds():
+    # one snapshot per (algebra, order); each is replayed twice running, and
+    # the round over all of them evicts every snapshot before its next turn
+    held = certificates._snapshot.cache_info().maxsize
+    certs = []
+    for order in itertools.permutations(("T0", "T1", "V0", "V1")):
+        pair = []
+        for name in ("UDAHA_model", "H_generic"):
+            alg = preset(name, order)
+            try:
+                alg.complete(5)
+            except OrientationError:
+                break
+            _, cert = alg.system.reduce_with_certificate(alg.parse("T0*T0*V1*V1 + V0*T0*V1*T1"))
+            pair.append(certificate_from_json(json.loads(json.dumps(certificate_to_json(cert)))))
+        if len(pair) == 2:
+            certs += pair
+        if len(certs) > held:
+            break
+    assert len(certs) > held and all(cert.steps for cert in certs)
+
+    certificates._snapshot.cache_clear()
+    for _ in range(2):
+        for cert in certs:
+            for _ in range(2):
+                assert replay(cert) == certificates.ReplayResult(
+                    True, "replayed clean", len(cert.steps))
+    info = certificates._snapshot.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2 * len(certs), 2 * len(certs), held)
+
+
+def nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("name, reason", [
+    pytest.param(object(), "Object of type object is not JSON serializable", id="not-json"),
+    pytest.param(nested_list(10000),
+                 "maximum recursion depth exceeded while encoding a JSON object", id="too-deep"),
+])
+def test_replay_reports_a_snapshot_without_json_text(udaha, name, reason):
+    # a snapshot is keyed by its JSON text; one that has none is invalid, and
+    # replay still returns a result
+    _, cert = udaha.system.reduce_with_certificate(udaha.parse("V0*V0*T0*V1*T1"))
+    cert = dataclasses.replace(cert, algebra={**cert.algebra, "name": name})
+    assert replay(cert) == certificates.ReplayResult(False, f"bad algebra description: {reason}", 0)
 
 
 # -- plumbing -----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from daha import (
     preset,
 )
 
-from conftest import exponent_terms, reference_tokenize
+from conftest import exponent_terms, laurent_poly, reference_tokenize
 
 AB = Alphabet(("T0", "T1", "V0", "V1"))
 UR = ParamRing(
@@ -279,7 +280,7 @@ def ncpolys(ring):
     )
     scalars = rationals if ring.base.kind == "rationals" else st.tuples(rationals, rationals)
     exponents = st.tuples(*(st.integers(-3 if inv else 0, 3) for inv in ring.invertible))
-    coeffs = st.dictionaries(exponents, scalars, max_size=3).map(ring.poly)
+    coeffs = st.dictionaries(exponents, scalars, max_size=3).map(partial(laurent_poly, ring))
     words = st.lists(st.integers(0, 3), max_size=5).map(tuple)
     return st.dictionaries(words, coeffs, max_size=6).map(
         lambda terms: NCPoly.from_terms(AB, ring, terms)

@@ -1,6 +1,7 @@
 """Free-algebra elements: alphabets, term orders, arithmetic, hashing."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,7 @@ from daha import (
     fnv1a64,
 )
 
-from conftest import word_compare
+from conftest import laurent_poly, word_compare
 
 AB = Alphabet(("T0", "T1", "V0", "V1"))
 UR = ParamRing(
@@ -131,7 +132,7 @@ laurent = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(-2, 2)).map(lambda e: (e[0], 0, 0, 0, e[1])),
     st.integers(-3, 3).filter(bool) | st.fractions(-2, 2, max_denominator=3).filter(bool),
     min_size=1, max_size=3,
-).map(UR.poly)
+).map(partial(laurent_poly, UR))
 laurent_polys = st.dictionaries(words, laurent, max_size=4).map(
     lambda t: NCPoly.from_terms(AB, UR, t)
 )

@@ -39,6 +39,21 @@ def test_verify_all_counts_undecodable_certificates(tmp_path):
     assert not proc.stderr
 
 
+def test_verify_all_counts_certificates_that_cannot_be_decoded(tmp_path):
+    certs = tmp_path / "extra-certs"
+    certs.mkdir()
+    (certs / "deep.json").write_text("[" * 100000)
+    (certs / "utf16.json").write_bytes(b'\xff\xfe{"format": 1}')
+    proc = run_script("verify_all.py", "--degree", "4", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert ("deep.json: not valid JSON: maximum recursion depth exceeded while decoding "
+            "a JSON array from a unicode string\n") in proc.stdout
+    assert ("utf16.json: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n") in proc.stdout
+    assert " certificates, 2 invalid" in proc.stdout
+    assert not proc.stderr
+
+
 def test_show_systems_runs():
     proc = run_script("show_systems.py")
     assert proc.returncode == 0, proc.stderr
