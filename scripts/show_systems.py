@@ -36,14 +36,9 @@ def show(args) -> None:
         alg = preset(name)
         report = alg.complete(args.degree)
         print(f"== {name} ==")
-        print(
-            f"completed to degree {report.degree}: {report.passes} passes, "
-            f"{report.rules_added} rules added, "
-            f"{report.ambiguities_checked} ambiguities checked, "
-            f"{report.ambiguities_skipped} skipped as already resolved"
-        )
+        print(report.summary())
         for rule in alg.system.sorted_rules():
-            print(f"  [{rule.id}] {rule.render(alg.alphabet)}")
+            print(f"  [{rule.id}] {rule.render()}")
         counts = Counter(
             len(w) for w in alg.system.irreducible_words(args.word_degree)
         )

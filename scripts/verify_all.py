@@ -56,7 +56,7 @@ def main() -> int:
             outcome = replay(read_certificate(path))
             ok, message = outcome.ok, outcome.message
             steps += outcome.steps_applied
-        except CertificateError as exc:
+        except (CertificateError, OSError) as exc:
             ok, message = False, str(exc)
         if not ok:
             bad_certs += 1

@@ -23,7 +23,6 @@ the Askey-Wilson-shaped form of the cyclic x, y, z relations.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -207,22 +206,20 @@ def presentation_spec(token: str) -> PresentationSpec:
         return load_presentation(handle.read())
 
 
-def reordered(spec: PresentationSpec, order: Optional[Sequence[str]]) -> PresentationSpec:
-    """`spec` under the term-order precedence `order`, when one is given."""
-    return dataclasses.replace(spec, order=tuple(order)) if order else spec
-
-
 def resolve_algebra(token: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
     """A preset name, or a path to a presentation file, optionally reordered."""
-    return from_presentation(reordered(presentation_spec(token), order))
+    return from_presentation(presentation_spec(token), order)
 
 
-def from_presentation(spec: PresentationSpec) -> AlgebraPresentation:
-    """Build an algebra from a parsed presentation file."""
+def from_presentation(
+    spec: PresentationSpec, order: Optional[Sequence[str]] = None
+) -> AlgebraPresentation:
+    """Build an algebra from a parsed presentation file, under the precedence
+    `order` when one is given and the file's own otherwise."""
     try:
         ring = ParamRing(spec.base, spec.params)
         alphabet = Alphabet(spec.generators)
-        order = TermOrder(alphabet, spec.order) if spec.order else None
+        order = TermOrder(alphabet, spec.order if order is None else order)
     except ValueError as exc:
         raise PresentationError(str(exc)) from None
     pres = AlgebraPresentation(spec.name, ring, alphabet, order)
@@ -242,16 +239,6 @@ def from_presentation(spec: PresentationSpec) -> AlgebraPresentation:
 # -- the x, y, z elements ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XYZ:
-    x: NCPoly
-    y: NCPoly
-    z: NCPoly
-
-    def as_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "z": self.z}
-
-
 def _require_daha_generators(algebra: AlgebraPresentation, what: str):
     for name in ("T0", "T1", "V0", "V1"):
         if name not in algebra.alphabet.symbols:
@@ -260,21 +247,27 @@ def _require_daha_generators(algebra: AlgebraPresentation, what: str):
             )
 
 
-def build_xyz(algebra: AlgebraPresentation) -> XYZ:
-    """x = V0*T1 + (V0*T1)^-1 and the companions from V1*T1 and T0*T1."""
+def build_xyz(algebra: AlgebraPresentation) -> dict:
+    """x = V0*T1 + (V0*T1)^-1 and its companions y, z from V1*T1, T0*T1, keyed by name."""
     _require_daha_generators(algebra, "x, y, z are")
 
     def pair(first, second):
         word = algebra.alphabet.word(first, second)
         return NCPoly.monomial(algebra.alphabet, algebra.ring, word) + algebra.inv_word(word)
 
-    return XYZ(x=pair("V0", "T1"), y=pair("V1", "T1"), z=pair("T0", "T1"))
+    return {"x": pair("V0", "T1"), "y": pair("V1", "T1"), "z": pair("T0", "T1")}
+
+
+def cyclic_triples(elems: dict):
+    """(a1, a2, target, e1, e2, e3) for the cyclic orders x y z, y z x, z x y
+    of the dict `elems` keyed "x", "y", "z"."""
+    for a1, a2, target in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
+        yield a1, a2, target, elems[a1], elems[a2], elems[target]
 
 
 # -- semilinear maps ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class SemilinearMap:
     """Generator images plus a permutation of the coefficient parameters.
 
@@ -283,37 +276,37 @@ class SemilinearMap:
     coefficient before the generator images are substituted.
     """
 
-    name: str
-    algebra: AlgebraPresentation
-    images: Mapping[str, NCPoly]
-    param_map: Mapping[str, str]
-    # reduced image of each word met so far, filled by semilinear_apply
-    _word_images: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # for each parameter, the one whose exponent the parameter action moves to it
-    _sources: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    # exponent keys met so far and their images under the parameter action
-    _key_images: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("name", "algebra", "images", "param_map",
+                 "_word_images", "_sources", "_key_images")
 
-    def __post_init__(self):
-        ring = self.algebra.ring
-        if set(self.images) != set(self.algebra.alphabet.symbols):
+    def __init__(
+        self,
+        name: str,
+        algebra: AlgebraPresentation,
+        images: Mapping[str, NCPoly],
+        param_map: Mapping[str, str],
+    ):
+        ring = algebra.ring
+        if set(images) != set(algebra.alphabet.symbols):
             raise ValueError("images must cover the alphabet exactly")
-        if set(self.param_map) != set(ring.params) or set(
-            self.param_map.values()
-        ) != set(ring.params):
+        if set(param_map) != set(ring.params) or set(param_map.values()) != set(ring.params):
             raise ValueError("parameter action must permute the parameters")
-        for src, dst in self.param_map.items():
+        for src, dst in param_map.items():
             if ring.is_invertible(src) != ring.is_invertible(dst):
                 raise ValueError(
                     f"parameter action breaks invertibility at {src} -> {dst}"
                 )
-        inverse = {dst: src for src, dst in self.param_map.items()}
-        sources = tuple(ring.index(inverse[name]) for name in ring.params)
-        object.__setattr__(self, "_sources", sources)
+        self.name = name
+        self.algebra = algebra
+        self.images = images
+        self.param_map = param_map
+        # reduced image of each word met so far, filled by semilinear_apply
+        self._word_images: dict = {}
+        # for each parameter, the one whose exponent the parameter action moves to it
+        inverse = {dst: src for src, dst in param_map.items()}
+        self._sources = tuple(ring.index(inverse[param]) for param in ring.params)
+        # exponent keys met so far and their images under the parameter action
+        self._key_images: dict = {}
 
     def image(self, gen_name: str) -> NCPoly:
         return self.images[gen_name]
@@ -531,16 +524,6 @@ class AWRelation:
     verdict: EqualityVerdict
 
 
-@dataclass(frozen=True)
-class AWForm:
-    x: AWRelation
-    y: AWRelation
-    z: AWRelation
-
-    def relations(self) -> tuple:
-        return (self.z, self.x, self.y)
-
-
 def aw_rhs(
     algebra: AlgebraPresentation, which: str, q: Optional[LaurentPoly] = None
 ) -> NCPoly:
@@ -569,29 +552,24 @@ def aw_rhs(
     return algebra.scalar(constant) + algebra.scalar(carrier) * core
 
 
-def aw_form_extract(algebra: AlgebraPresentation) -> AWForm:
-    """Match the reduced cyclic relations against g*target + h with h
-    supported on {1, T1}.
+def aw_form_extract(algebra: AlgebraPresentation) -> tuple:
+    """The relations for z, x and y, each matched against g*target + h
+    with h supported on {1, T1}.
 
     The scalar g is recovered wordwise by exact division of coefficients
     on the support of the reduced target (off {1, T1}); disagreement
     between words, leftover support outside {1, T1}, or a failed final
     check_equal all raise :class:`ExtractionError`.
     """
-    xyz = build_xyz(algebra)
     qv = q_value(algebra)
     q_inv = monomial_inverse(qv)
     one_word = ()
     t1_word = algebra.alphabet.word("T1")
-    relations = {}
-    for a1, a2, target_name in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-        elems = xyz.as_dict()
-        combo = (
-            algebra.scalar(qv) * elems[a1] * elems[a2]
-            - algebra.scalar(q_inv) * elems[a2] * elems[a1]
-        )
+    relations = []
+    for _, _, target_name, e1, e2, e3 in cyclic_triples(build_xyz(algebra)):
+        combo = algebra.scalar(qv) * e1 * e2 - algebra.scalar(q_inv) * e2 * e1
         reduced = algebra.nf(combo)
-        target = algebra.nf(elems[target_name])
+        target = algebra.nf(e3)
         g = None
         for word in target.support():
             if word in (one_word, t1_word):
@@ -618,12 +596,10 @@ def aw_form_extract(algebra: AlgebraPresentation) -> AWForm:
             raise ExtractionError(
                 f"relation {target_name}: remainder is not supported on 1, T1"
             )
-        verdict = algebra.check_equal(
-            combo, elems[target_name].scale(g) + h
-        )
+        verdict = algebra.check_equal(combo, e3.scale(g) + h)
         if not verdict.equal:
             raise ExtractionError(
                 f"relation {target_name}: extracted form failed verification"
             )
-        relations[target_name] = AWRelation(target_name, g, h, verdict)
-    return AWForm(x=relations["x"], y=relations["y"], z=relations["z"])
+        relations.append(AWRelation(target_name, g, h, verdict))
+    return tuple(relations)

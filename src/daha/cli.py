@@ -23,14 +23,19 @@ from .suites import SUITE_NAMES, run_suite
 
 
 def _parse_order(text: Optional[str]):
-    if not text:
+    if text is None:
         return None
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-def _cmd_reduce(args) -> int:
+def _open(args):
+    """The command's algebra, completed to its degree, and the completion report."""
     alg = resolve_algebra(args.algebra, _parse_order(args.order))
-    alg.complete(args.degree)
+    return alg, alg.complete(args.degree)
+
+
+def _cmd_reduce(args) -> int:
+    alg, _ = _open(args)
     element = alg.parse(args.expr)
     normal, cert = alg.system.reduce_with_certificate(element, verbose=args.verbose_cert)
     print(f"algebra: {alg.name} (completed to degree {alg.system.confluence_degree})")
@@ -44,8 +49,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_check_equal(args) -> int:
-    alg = resolve_algebra(args.algebra, _parse_order(args.order))
-    alg.complete(args.degree)
+    alg, _ = _open(args)
     lhs = alg.parse(args.lhs)
     rhs = alg.parse(args.rhs)
     outcome = alg.check_equal(lhs, rhs, verbose=args.verbose_cert)
@@ -58,19 +62,13 @@ def _cmd_check_equal(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    alg = resolve_algebra(args.algebra, _parse_order(args.order))
-    report = alg.complete(args.degree)
+    alg, report = _open(args)
     print(f"algebra: {alg.name}")
-    print(
-        f"completed to degree {report.degree}: {report.passes} passes, "
-        f"{report.rules_added} rules added, "
-        f"{report.ambiguities_checked} ambiguities checked, "
-        f"{report.ambiguities_skipped} skipped as already resolved"
-    )
+    print(report.summary())
     rules = alg.system.sorted_rules()
     print(f"active rules ({len(rules)}):")
     for rule in rules:
-        print(f"  [{rule.id}] {rule.render(alg.alphabet)}")
+        print(f"  [{rule.id}] {rule.render()}")
     if args.json:
         payload = {
             "algebra": alg.system.describe(),
@@ -80,12 +78,7 @@ def _cmd_complete(args) -> int:
             "ambiguities_checked": report.ambiguities_checked,
             "ambiguities_skipped": report.ambiguities_skipped,
             "rules": [
-                {
-                    "id": rule.id,
-                    "lhs": alg.alphabet.render_word(rule.lhs),
-                    "rhs": rule.rhs.render(),
-                }
-                for rule in rules
+                {"id": rule.id, "lhs": rule.text[0], "rhs": rule.text[1]} for rule in rules
             ],
         }
         write_json(payload, args.json)
@@ -95,8 +88,7 @@ def _cmd_complete(args) -> int:
 
 def _cmd_braid_act(args) -> int:
     word = b3_normal_form(args.word)
-    alg = resolve_algebra(args.algebra, _parse_order(args.order))
-    alg.complete(args.degree)
+    alg, _ = _open(args)
     element = alg.parse(args.expr)
     result = b3_act(word, element, alg)
     print(f"algebra: {alg.name} (completed to degree {alg.system.confluence_degree})")
@@ -213,10 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DahaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DahaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

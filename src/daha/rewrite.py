@@ -65,8 +65,8 @@ class RewriteRule:
         """The rendered lhs and rhs, as certificates list them; rendered once."""
         return self.rhs.alphabet.render_word(self.lhs), self.rhs.render()
 
-    def render(self, alphabet: Alphabet) -> str:
-        return f"{alphabet.render_word(self.lhs)} -> {self.rhs.render()}"
+    def render(self) -> str:
+        return "%s -> %s" % self.text
 
 
 def make_rule(order: TermOrder, rule_id: int, lhs: Word, rhs: NCPoly) -> RewriteRule:
@@ -115,6 +115,14 @@ class CompletionReport:
     rules_added: int
     ambiguities_checked: int  # differences actually normalized
     ambiguities_skipped: int  # found resolved earlier with the same two rules
+
+    def summary(self) -> str:
+        return (
+            f"completed to degree {self.degree}: {self.passes} passes, "
+            f"{self.rules_added} rules added, "
+            f"{self.ambiguities_checked} ambiguities checked, "
+            f"{self.ambiguities_skipped} skipped as already resolved"
+        )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebras import (
@@ -24,12 +24,12 @@ from .algebras import (
     braid_b_map,
     braid_c_map,
     build_xyz,
+    cyclic_triples,
     four_cycle,
     from_presentation,
     map_power,
     presentation_spec,
     q_symbol,
-    reordered,
     semilinear_apply,
     specialize_presentation,
     trace_symbol,
@@ -47,20 +47,7 @@ from .coeffring import (
 from .errors import DahaError, PresentationError
 from .exprs import PresentationSpec
 from .ncpoly import NCPoly
-
-SUITE_NAMES = (
-    "lemma2.3",
-    "lemma3.6",
-    "lemma3.7",
-    "lemma3.9",
-    "lemma4.2",
-    "lemma4.3",
-    "thm5.1",
-    "thm5.2",
-    "thm2.4",
-    "aw-template",
-    "all",
-)
+from .rewrite import ReductionCertificate
 
 RESULTS_FORMAT = "daha-suite-results"
 RESULTS_VERSION = 1
@@ -73,6 +60,7 @@ class CheckResult:
     expected: str
     verdict: str
     seconds: float
+    cert: Optional[ReductionCertificate] = field(default=None, repr=False)
     certificate: Optional[str] = None  # file name, when certificates are written
 
     @property
@@ -136,18 +124,18 @@ class Workspace:
         order: Optional[tuple] = None,
     ):
         self.degree = degree
-        self.order = tuple(order) if order else None
+        self.order = None if order is None else tuple(order)
         self._cache: dict = {}
         self._specs = {name: presentation_spec(name) for name in PRESET_NAMES}
         if override is not None:
             target = override.name if override.name in PRESET_NAMES else "UDAHA_model"
             self._specs[target] = override
-        if self.order and not any(map(self._order_for, self._specs.values())):
+        if self.order is not None and not any(map(self._order_for, self._specs.values())):
             raise PresentationError("precedence must permute the alphabet")
 
     def _order_for(self, spec: PresentationSpec) -> Optional[tuple]:
         """The run's order, if it permutes the generators of `spec`."""
-        if self.order and sorted(self.order) == sorted(spec.generators):
+        if self.order is not None and sorted(self.order) == sorted(spec.generators):
             return self.order
         return None
 
@@ -155,7 +143,7 @@ class Workspace:
         if name in self._cache:
             return self._cache[name]
         spec = self._specs[name]
-        alg = from_presentation(reordered(spec, self._order_for(spec)))
+        alg = from_presentation(spec, self._order_for(spec))
         alg.complete(self.degree)
         self._cache[name] = alg
         return alg
@@ -185,13 +173,10 @@ class _Collector:
     def __init__(self, verbose_cert: bool = False):
         self.verbose_cert = verbose_cert
         self.checks: list = []
-        self.certificates: dict = {}  # check name -> ReductionCertificate
 
     def _add(self, name, algebra_name, expected, verdict, seconds, cert):
-        if cert is not None:
-            self.certificates[name] = cert
         self.checks.append(
-            CheckResult(name, algebra_name, expected, verdict, seconds)
+            CheckResult(name, algebra_name, expected, verdict, seconds, cert)
         )
 
     def check(self, name, algebra, lhs, rhs=None, expected="proved-equal"):
@@ -266,9 +251,8 @@ def _suite_lemma3_9(col: _Collector, ws: Workspace):
         g = cp.gen(gen_name)
         col.check(f"lemma3.9/CentralPair/commutes-{gen_name}", cp, g * w_uv, w_uv * g)
     alg = ws.algebra("UDAHA_model")
-    xyz = build_xyz(alg)
     t1 = alg.gen("T1")
-    for name, elem in xyz.as_dict().items():
+    for name, elem in build_xyz(alg).items():
         col.check(f"lemma3.9/UDAHA_model/T1-commutes-{name}", alg, t1 * elem, elem * t1)
 
 
@@ -315,8 +299,7 @@ def _suite_lemma4_3(col: _Collector, ws: Workspace):
 
 def _suite_thm5_1(col: _Collector, ws: Workspace):
     alg = ws.algebra("UDAHA_model")
-    xyz = build_xyz(alg)
-    x, y, z = xyz.x, xyz.y, xyz.z
+    x, y, z = build_xyz(alg).values()
     col.check("thm5.1/b/x-to-y", alg, b3_act("b", x, alg), y)
     col.check("thm5.1/b/y-to-z", alg, b3_act("b", y, alg), z)
     col.check("thm5.1/b/z-to-x", alg, b3_act("b", z, alg), x)
@@ -330,12 +313,6 @@ def _suite_thm5_1(col: _Collector, ws: Workspace):
     col.check("thm5.1/equation-Qzprime", alg, small_q * z + big_q * z_prime + y * x, rhs)
 
 
-def _cyclic_triples(xyz):
-    elems = xyz.as_dict()
-    for a1, a2, target in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-        yield a1, a2, target, elems[a1], elems[a2], elems[target]
-
-
 def _cleared_relations(alg: AlgebraPresentation, qv):
     """Theorem 5.2 with q - q^-1 cleared from the denominators: for each
     cyclic triple, (target, product, e3, spread, rhs) with the relation
@@ -343,7 +320,7 @@ def _cleared_relations(alg: AlgebraPresentation, qv):
     spread = q^2 - q^-2."""
     qi = monomial_inverse(qv)
     spread = qv * qv - qi * qi
-    for _, _, target, e1, e2, e3 in _cyclic_triples(build_xyz(alg)):
+    for _, _, target, e1, e2, e3 in cyclic_triples(build_xyz(alg)):
         product = alg.scalar(qv) * e1 * e2 - alg.scalar(qi) * e2 * e1
         yield target, product, e3, spread, aw_rhs(alg, target, q=qv).scale(qv - qi)
 
@@ -356,26 +333,19 @@ def _suite_thm5_2(col: _Collector, ws: Workspace):
 
 def _suite_thm2_4(col: _Collector, ws: Workspace):
     generic = ws.algebra("H_generic")
-    xyz = build_xyz(generic)
     t1 = generic.gen("T1")
-    for name, elem in xyz.as_dict().items():
+    for name, elem in build_xyz(generic).items():
         col.check(f"thm2.4/i/T1-commutes-{name}", generic, t1 * elem, elem * t1)
 
     for tag in ("H_q1", "H_q-1"):
         try:
             spec = ws.specialized(tag)
-            s_xyz = build_xyz(spec)
+            elems = build_xyz(spec)
         except DahaError as exc:
             col.error(f"thm2.4/ii/{tag}/setup", tag, exc)
             continue
-        elems = s_xyz.as_dict()
-        for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
-            col.check(
-                f"thm2.4/ii/{tag}/{a}{b}-commute",
-                spec,
-                elems[a] * elems[b],
-                elems[b] * elems[a],
-            )
+        for a1, a2, _, e1, e2, _ in cyclic_triples(elems):
+            col.check(f"thm2.4/ii/{tag}/{a1}{a2}-commute", spec, e1 * e2, e2 * e1)
 
     try:
         spec4 = ws.specialized("H_qs")
@@ -385,7 +355,7 @@ def _suite_thm2_4(col: _Collector, ws: Workspace):
     else:
         two = spec4.ring.scalar(2)
         s = spec4.ring.scalar(spec4.ring.base.generator())
-        for a1, a2, target, e1, e2, _ in _cyclic_triples(s_xyz):
+        for a1, a2, target, e1, e2, _ in cyclic_triples(s_xyz):
             col.check(
                 f"thm2.4/iii/{a1}{a2}-anticommutator",
                 spec4,
@@ -420,7 +390,7 @@ def _suite_aw_template(col: _Collector, ws: Workspace):
     expected_g = -(qv * qv - qi * qi)
     xyz = build_xyz(alg)
     t1_word = alg.alphabet.word("T1")
-    for rel in form.relations():
+    for rel in form:
         col.check(
             f"aw-template/{rel.name}/g-value",
             alg,
@@ -434,7 +404,7 @@ def _suite_aw_template(col: _Collector, ws: Workspace):
         )
         col.check(f"aw-template/{rel.name}/h-support", alg, rel.h, restricted)
         col.record(f"aw-template/{rel.name}/identity", alg.name, rel.verdict)
-        for name, elem in xyz.as_dict().items():
+        for name, elem in xyz.items():
             col.check(
                 f"aw-template/{rel.name}/h-commutes-{name}",
                 alg,
@@ -469,6 +439,7 @@ _SUITES = {
     "aw-template": _suite_aw_template,
     "all": _suite_all,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_named(name: str, col: _Collector, ws: Workspace):
@@ -505,9 +476,8 @@ def run_suite(
         cert_dir = os.path.splitext(output)[0] + "-certs"
         os.makedirs(cert_dir, exist_ok=True)
         for check in result.checks:
-            cert = col.certificates.get(check.name)
-            if cert is not None:
+            if check.cert is not None:
                 check.certificate = _certificate_filename(check.name)
-                write_json(certificate_to_json(cert), os.path.join(cert_dir, check.certificate))
+                write_json(certificate_to_json(check.cert), os.path.join(cert_dir, check.certificate))
         write_json(result.to_json(), output)
     return result

@@ -96,7 +96,7 @@ def test_criterion_04_central_commutation(criterion, central, udaha):
             assert is_zero_nf(central, w * g - g * w)
 
         t1 = udaha.gen("T1")
-        for elem in build_xyz(udaha).as_dict().values():
+        for elem in build_xyz(udaha).values():
             assert is_zero_nf(udaha, t1 * elem - elem * t1)
 
 
@@ -138,7 +138,7 @@ def test_criterion_06_parameter_actions(criterion, udaha):
 def test_criterion_07_braid_action_equations(criterion, udaha):
     with criterion(7, "b cycles x,y,z; c swaps x,y; both displayed equations"):
         xyz = build_xyz(udaha)
-        x, y, z = xyz.x, xyz.y, xyz.z
+        x, y, z = xyz["x"], xyz["y"], xyz["z"]
         assert is_zero_nf(udaha, b3_act("b", x, udaha) - y)
         assert is_zero_nf(udaha, b3_act("b", y, udaha) - z)
         assert is_zero_nf(udaha, b3_act("b", z, udaha) - x)
@@ -160,7 +160,7 @@ def test_criterion_07_braid_action_equations(criterion, udaha):
 
 def test_criterion_08_cyclic_relations(criterion, udaha):
     with criterion(8, "the three cyclic relations hold at degree 10"):
-        xyz = build_xyz(udaha).as_dict()
+        xyz = build_xyz(udaha)
         qv = udaha.param("Q")
         qi = monomial_inverse(qv)
         spread = qv * qv - qi * qi
@@ -190,7 +190,7 @@ def test_criterion_08_cyclic_relations(criterion, udaha):
 
 def test_criterion_09_specializations(criterion, generic):
     with criterion(9, "commutation, q = +/-1 and q = s specializations, division"):
-        xyz = build_xyz(generic).as_dict()
+        xyz = build_xyz(generic)
         t1 = generic.gen("T1")
         for elem in xyz.values():
             assert is_zero_nf(generic, t1 * elem - elem * t1)
@@ -198,12 +198,12 @@ def test_criterion_09_specializations(criterion, generic):
         ws = Workspace(degree=10)
         for tag in ("H_q1", "H_q-1"):
             spec = ws.specialized(tag)
-            elems = build_xyz(spec).as_dict()
+            elems = build_xyz(spec)
             for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
                 assert is_zero_nf(spec, elems[a] * elems[b] - elems[b] * elems[a])
 
         spec4 = ws.specialized("H_qs")
-        elems4 = build_xyz(spec4).as_dict()
+        elems4 = build_xyz(spec4)
         s = spec4.ring.scalar(spec4.ring.base.generator())
         from daha import aw_rhs
 
@@ -241,11 +241,11 @@ def test_criterion_10_aw_template(criterion, udaha):
         form = aw_form_extract(udaha)
         xyz = build_xyz(udaha)
         t1_word = udaha.alphabet.word("T1")
-        for rel in form.relations():
+        for rel in form:
             assert rel.verdict.equal
             assert set(rel.h.support()) <= {(), t1_word}
             assert t1_word in rel.h.support()  # genuinely non-scalar
-            for elem in (xyz.x, xyz.y, xyz.z):
+            for elem in (xyz["x"], xyz["y"], xyz["z"]):
                 assert is_zero_nf(udaha, rel.h * elem - elem * rel.h)
 
 

@@ -107,11 +107,12 @@ def test_from_presentation_rejects_bad_rules():
             "[algebra]\nname = bad\nparams = c\ngenerators = u\n"
             "[rules]\nu*u = u*u*u\n"  # not orientable
         ))
-    with pytest.raises(PresentationError):
-        from_presentation(load_presentation(
-            "[algebra]\nname = bad\nparams = c\ngenerators = u, v\n"
-            "[rules]\nu*u = 1\n[order]\npermutation = u\n"
-        ))
+    for permutation in ("u", ""):  # a partial precedence, and an empty one
+        with pytest.raises(PresentationError):
+            from_presentation(load_presentation(
+                "[algebra]\nname = bad\nparams = c\ngenerators = u, v\n"
+                f"[rules]\nu*u = 1\n[order]\npermutation = {permutation}\n"
+            ))
 
 
 # -- inverses -------------------------------------------------------------------
@@ -149,10 +150,10 @@ def test_inv_element_monomial(udaha):
 
 def test_build_xyz(udaha):
     xyz = build_xyz(udaha)
-    assert xyz.x == udaha.parse("V0*T1 + inv(V0*T1)")
-    assert xyz.y == udaha.parse("V1*T1 + inv(V1*T1)")
-    assert xyz.z == udaha.parse("T0*T1 + inv(T0*T1)")
-    assert set(xyz.as_dict()) == {"x", "y", "z"}
+    assert xyz["x"] == udaha.parse("V0*T1 + inv(V0*T1)")
+    assert xyz["y"] == udaha.parse("V1*T1 + inv(V1*T1)")
+    assert xyz["z"] == udaha.parse("T0*T1 + inv(T0*T1)")
+    assert set(xyz) == {"x", "y", "z"}
 
 
 def test_build_xyz_needs_daha_generators(central):
@@ -342,8 +343,8 @@ def test_aw_form_extract(udaha):
     qv = udaha.param("Q")
     g_expected = -(qv ** 2 - qv ** -2)
     coeff = qv - qv ** -1
-    for rel in form.relations():
+    for rel in form:
         assert rel.verdict.equal
         assert rel.g == g_expected
         assert rel.h == udaha.nf(coeff * aw_rhs(udaha, rel.name))
-    assert [rel.name for rel in form.relations()] == ["z", "x", "y"]
+    assert [rel.name for rel in form] == ["z", "x", "y"]

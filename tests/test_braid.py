@@ -179,7 +179,7 @@ def normal_forms(max_syllables):
 def test_sequential_action_matches_composed_map(udaha):
     # b sends cT0 -> cV0 -> cV1, so the second element pins the order in
     # which parameter actions and substitutions are applied
-    elements = (build_xyz(udaha).x, udaha.parse("cV0*V0*T1 + cT0*Q^-1*T0*V1 + cV1"))
+    elements = (build_xyz(udaha)["x"], udaha.parse("cV0*V0*T1 + cT0*Q^-1*T0*V1 + cV1"))
     words = normal_forms(3)
     assert len(words) == 39
     for w in words:
@@ -190,13 +190,13 @@ def test_sequential_action_matches_composed_map(udaha):
 
 def test_action_is_not_stale_after_completion():
     early = preset("UDAHA_model")
-    x = build_xyz(early).x
+    x = build_xyz(early)["x"]
     before = b3_act("bcb", x, early)
     early.complete(10)
     after = b3_act("bcb", x, early)
     fresh = preset("UDAHA_model")
     fresh.complete(10)
-    expected = b3_act("bcb", build_xyz(fresh).x, fresh)
+    expected = b3_act("bcb", build_xyz(fresh)["x"], fresh)
     assert after.terms == expected.terms
     assert before.terms != after.terms  # completion did change the normal form
 

@@ -198,7 +198,17 @@ def test_complete_json(capsys, tmp_path):
     assert len(payload["rules"]) == 8
     lhs_set = {rule["lhs"] for rule in payload["rules"]}
     assert "V0*T1" in lhs_set and "T0*T0" in lhs_set
-    assert "V0*T1 ->" in out or "V0*T1" in out
+    alg = preset("UDAHA_model")
+    alg.complete(6)
+    rules = alg.system.sorted_rules()
+    assert [(r["id"], r["lhs"], r["rhs"]) for r in payload["rules"]] == [
+        (r.id, *r.text) for r in rules
+    ]
+    lines = out.splitlines()
+    start = lines.index(f"active rules ({len(rules)}):") + 1
+    assert lines[start:start + len(rules)] == [
+        f"  [{r.id}] {r.render()}" for r in rules
+    ]
 
 
 # -- braid-act ----------------------------------------------------------------------
@@ -211,6 +221,17 @@ def test_braid_act_sends_x_to_y(capsys):
     alg.complete(6)
     y = alg.nf(alg.parse("V1*T1 + inv(V1*T1)"))
     assert f"result:  {y.render()}" in out
+
+
+def test_braid_act_stdout_is_pinned(capsys):
+    code, out, err = run(capsys, "braid-act", "b", "T0", "--degree", "6")
+    assert (code, err) == (0, "")
+    assert out == (
+        "algebra: UDAHA_model (completed to degree 6)\n"
+        "word:    b\n"
+        "input:   T0\n"
+        "result:  V0\n"
+    )
 
 
 def test_braid_act_identity_word(capsys):
@@ -483,10 +504,11 @@ def test_replay_reports_a_snapshot_without_json_text(udaha, name, reason):
 # -- plumbing -----------------------------------------------------------------------
 
 def test_bad_order_on_preset_exits_2(capsys):
-    code, out, err = run(capsys, "reduce", "T0", "--order", "T0,T0,V0,V1")
-    assert code == 2
-    assert not out
-    assert err.startswith("error: precedence must permute the alphabet")
+    for order in ("T0,T0,V0,V1", ",", " , "):
+        code, out, err = run(capsys, "reduce", "T0", "--order", order)
+        assert code == 2, order
+        assert not out
+        assert err.startswith("error: precedence must permute the alphabet")
 
 
 def test_unknown_algebra_token(capsys):
@@ -501,6 +523,7 @@ def test_unknown_algebra_token(capsys):
     ("braid-act", "b", "u", "--algebra", "CentralPair"),
     ("suite", "lemma3.7", "--order", "T0,T1"),
     ("suite", "lemma3.7", "--algebra", "nope"),
+    ("suite", "lemma3.7", "--order", ","),
 ])
 def test_bad_braid_and_suite_inputs_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--degree", "4")
