@@ -23,6 +23,7 @@ the Askey-Wilson-shaped form of the cyclic x, y, z relations.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -268,6 +269,7 @@ def cyclic_triples(elems: dict):
 # -- semilinear maps ---------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class SemilinearMap:
     """Generator images plus a permutation of the coefficient parameters.
 
@@ -276,37 +278,37 @@ class SemilinearMap:
     coefficient before the generator images are substituted.
     """
 
-    __slots__ = ("name", "algebra", "images", "param_map",
-                 "_word_images", "_sources", "_key_images")
+    name: str
+    algebra: AlgebraPresentation
+    images: Mapping[str, NCPoly]
+    param_map: Mapping[str, str]
+    # reduced image of each word met so far, filled by semilinear_apply
+    _word_images: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # for each parameter, the one whose exponent the parameter action moves to it
+    _sources: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # exponent keys met so far and their images under the parameter action
+    _key_images: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def __init__(
-        self,
-        name: str,
-        algebra: AlgebraPresentation,
-        images: Mapping[str, NCPoly],
-        param_map: Mapping[str, str],
-    ):
-        ring = algebra.ring
-        if set(images) != set(algebra.alphabet.symbols):
+    def __post_init__(self):
+        ring = self.algebra.ring
+        if set(self.images) != set(self.algebra.alphabet.symbols):
             raise ValueError("images must cover the alphabet exactly")
-        if set(param_map) != set(ring.params) or set(param_map.values()) != set(ring.params):
+        if set(self.param_map) != set(ring.params) or set(
+            self.param_map.values()
+        ) != set(ring.params):
             raise ValueError("parameter action must permute the parameters")
-        for src, dst in param_map.items():
+        for src, dst in self.param_map.items():
             if ring.is_invertible(src) != ring.is_invertible(dst):
                 raise ValueError(
                     f"parameter action breaks invertibility at {src} -> {dst}"
                 )
-        self.name = name
-        self.algebra = algebra
-        self.images = images
-        self.param_map = param_map
-        # reduced image of each word met so far, filled by semilinear_apply
-        self._word_images: dict = {}
-        # for each parameter, the one whose exponent the parameter action moves to it
-        inverse = {dst: src for src, dst in param_map.items()}
-        self._sources = tuple(ring.index(inverse[param]) for param in ring.params)
-        # exponent keys met so far and their images under the parameter action
-        self._key_images: dict = {}
+        inverse = {dst: src for src, dst in self.param_map.items()}
+        sources = tuple(ring.index(inverse[name]) for name in ring.params)
+        object.__setattr__(self, "_sources", sources)
 
     def image(self, gen_name: str) -> NCPoly:
         return self.images[gen_name]

@@ -127,18 +127,23 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    all_ok = True
+    code = 0
     for path in args.paths:
         try:
-            cert = read_certificate(path)
-            outcome = replay(cert)
+            outcome = replay(read_certificate(path))
             ok, message = outcome.ok, outcome.message
         except DahaError as exc:
             ok, message = False, str(exc)
-        all_ok = all_ok and ok
+        except OSError as exc:
+            # an unreadable path is an input error (exit 2); the paths after it still replay
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+            continue
+        if not ok:
+            code = code or 1
         state = "valid" if ok else "invalid"
         print(f"{path}: {state} ({message})")
-    return 0 if all_ok else 1
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

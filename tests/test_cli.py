@@ -335,6 +335,15 @@ def test_replay_command(capsys, tmp_path):
     code, _, err = run(capsys, "replay", str(tmp_path / "missing.json"))
     assert code == 2
 
+    # a path that cannot be read exits 2, but every path after it is still reported
+    unreadable = tmp_path / "d.json"
+    unreadable.mkdir()
+    code, out, err = run(capsys, "replay", str(unreadable), str(bad_path), str(cert_path))
+    assert code == 2
+    assert err == f"error: [Errno 21] Is a directory: '{unreadable}'\n"
+    assert out.startswith(f"{bad_path}: invalid (")
+    assert f"{cert_path}: valid (" in out
+
 
 def test_replay_reports_a_file_that_is_not_json(capsys, tmp_path):
     path = tmp_path / "cert.json"

@@ -6,6 +6,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 ENGINE = SCRIPTS.parent / "src" / "daha"
 
@@ -26,33 +28,38 @@ def test_verify_all_replays_every_certificate(tmp_path):
     assert proc.stdout.endswith("all suites verified\n")
 
 
-def test_verify_all_counts_undecodable_certificates(tmp_path):
-    certs = tmp_path / "extra-certs"
+@pytest.fixture(scope="module")
+def broken_certificates_run(tmp_path_factory):
+    """One verify_all run with every kind of broken input among its certificates."""
+    out = tmp_path_factory.mktemp("broken")
+    certs = out / "extra-certs"
     certs.mkdir()
     (certs / "broken.json").write_text("[1, 2]")
     (certs / "x.json").mkdir()  # matched by the glob, but cannot be opened as a file
+    (certs / "deep.json").write_text("[" * 100000)
+    (certs / "utf16.json").write_bytes(b'\xff\xfe{"format": 1}')
     # a low degree keeps this quick; some suites then fail, but every
     # certificate they write still replays
-    proc = run_script("verify_all.py", "--degree", "4", "--out", str(tmp_path))
+    return certs, run_script("verify_all.py", "--degree", "4", "--out", str(out))
+
+
+def test_verify_all_counts_undecodable_certificates(broken_certificates_run):
+    certs, proc = broken_certificates_run
     assert proc.returncode == 1
     assert "broken.json: not a reduction certificate" in proc.stdout
     assert f"INVALID certificate {certs / 'x.json'}: [Errno 21] Is a directory" in proc.stdout
-    assert " certificates, 2 invalid" in proc.stdout
+    assert " certificates, 4 invalid" in proc.stdout
     assert not proc.stderr
 
 
-def test_verify_all_counts_certificates_that_cannot_be_decoded(tmp_path):
-    certs = tmp_path / "extra-certs"
-    certs.mkdir()
-    (certs / "deep.json").write_text("[" * 100000)
-    (certs / "utf16.json").write_bytes(b'\xff\xfe{"format": 1}')
-    proc = run_script("verify_all.py", "--degree", "4", "--out", str(tmp_path))
+def test_verify_all_counts_certificates_that_cannot_be_decoded(broken_certificates_run):
+    _, proc = broken_certificates_run
     assert proc.returncode == 1
     assert ("deep.json: not valid JSON: maximum recursion depth exceeded while decoding "
             "a JSON array from a unicode string\n") in proc.stdout
     assert ("utf16.json: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte\n") in proc.stdout
-    assert " certificates, 2 invalid" in proc.stdout
+    assert " certificates, 4 invalid" in proc.stdout
     assert not proc.stderr
 
 
