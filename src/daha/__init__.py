@@ -33,7 +33,6 @@ from .braid import (
     b3_act,
     b3_normal_form,
     b3_to_map,
-    verify_b3_relations,
 )
 from .certificates import (
     certificate_from_json,

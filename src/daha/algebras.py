@@ -142,8 +142,8 @@ class AlgebraPresentation:
     def nf(self, p: NCPoly) -> NCPoly:
         return self.system.nf(p)
 
-    def check_equal(self, p, r=None, verbose: bool = False) -> EqualityVerdict:
-        return self.system.check_equal(p, r, verbose=verbose)
+    def check_equal(self, p, r=None) -> EqualityVerdict:
+        return self.system.check_equal(p, r)
 
 
 # -- presets ---------------------------------------------------------------
@@ -204,7 +204,11 @@ def presentation_spec(token: str) -> PresentationSpec:
             f"{token!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a file"
         )
     with open(token, encoding="utf-8") as handle:
-        return load_presentation(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise PresentationError(f"{token!r} is not UTF-8 text: {exc}") from None
+    return load_presentation(text)
 
 
 def resolve_algebra(token: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
@@ -376,18 +380,9 @@ def map_power(phi: SemilinearMap, power: int, name: Optional[str] = None) -> Sem
     return SemilinearMap(name or f"{phi.name}^{power}", phi.algebra, out.images, out.param_map)
 
 
-@dataclass(frozen=True)
-class MapReport:
-    map_name: str
-    axiom_verdicts: tuple  # of (axiom text, EqualityVerdict)
-
-    @property
-    def ok(self) -> bool:
-        return all(verdict.equal for _, verdict in self.axiom_verdicts)
-
-
-def verify_map(phi: SemilinearMap, algebra: AlgebraPresentation) -> MapReport:
-    """Well-definedness: the image of every axiom reduces to zero."""
+def verify_map(phi: SemilinearMap, algebra: AlgebraPresentation) -> tuple:
+    """Well-definedness: the image of every axiom reduces to zero.  Returns
+    the (axiom text, EqualityVerdict) of each axiom, in declaration order."""
     if phi.algebra is not algebra:
         raise ValueError("map was built over a different algebra")
     verdicts = []
@@ -398,7 +393,7 @@ def verify_map(phi: SemilinearMap, algebra: AlgebraPresentation) -> MapReport:
         )
         text = f"{algebra.alphabet.render_word(lhs)} -> {rhs.render()}"
         verdicts.append((text, verdict))
-    return MapReport(phi.name, tuple(verdicts))
+    return tuple(verdicts)
 
 
 # -- the shipped maps -----------------------------------------------------------
@@ -526,19 +521,11 @@ class AWRelation:
     verdict: EqualityVerdict
 
 
-def aw_rhs(
-    algebra: AlgebraPresentation, which: str, q: Optional[LaurentPoly] = None
-) -> NCPoly:
-    """The central right-hand sides of the cyclic x, y, z relations.
-
-    `q` defaults to the presentation's own product-axiom value; callers
-    verifying against a fixed external statement should pass the
-    intended value explicitly.
-    """
-    qv = q_value(algebra) if q is None else q
-    q_inv = monomial_inverse(qv)
-    core = algebra.scalar(q_inv) * algebra.gen("T1") + algebra.scalar(
-        qv
+def aw_rhs(algebra: AlgebraPresentation, which: str, q: LaurentPoly) -> NCPoly:
+    """The central right-hand sides of the cyclic x, y, z relations at the
+    value `q`, which the caller states rather than reads off the algebra."""
+    core = algebra.scalar(monomial_inverse(q)) * algebra.gen("T1") + algebra.scalar(
+        q
     ) * algebra.inv_word(algebra.alphabet.word("T1"))
     tT0 = algebra.trace("T0")
     tV0 = algebra.trace("V0")

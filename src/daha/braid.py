@@ -15,6 +15,8 @@ another, rightmost first, then the central map.  The five syllable
 maps (b, bb, c, a, a^-1) are built once per algebra and kept on it;
 each keeps the reduced images of the words it has met, so repeated
 acts reuse them.  b3_to_map folds the same maps into one composed map.
+The relations b^3 = c^2 = a that make the action well defined are
+checked on these maps by the lemma4.2 suite.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ from .algebras import (
     compose_maps,
     conjugation_map,
     identity_map,
-    map_power,
     semilinear_apply,
-    verify_map,
 )
 from .errors import ParseError
 from .ncpoly import NCPoly
@@ -136,7 +136,7 @@ def b3_normal_form(letters: Union[str, Iterable[str], BraidWord]) -> BraidWord:
     return BraidWord.parse(letters)
 
 
-def _syllable_maps(algebra: AlgebraPresentation) -> dict:
+def syllable_maps(algebra: AlgebraPresentation) -> dict:
     """The maps of b, bb, c, a and a^-1 (key "A"), built on first use
     and kept on the algebra."""
     maps = algebra.braid_maps
@@ -162,7 +162,7 @@ def _syllables(w: BraidWord) -> list:
 def b3_to_map(w, algebra: AlgebraPresentation) -> SemilinearMap:
     """The composed map of `w`: the syllable maps folded with compose_maps."""
     w = b3_normal_form(w)
-    maps = _syllable_maps(algebra)
+    maps = syllable_maps(algebra)
     phi = identity_map(algebra)
     for key in _syllables(w):
         phi = compose_maps(maps[key], phi)
@@ -170,70 +170,10 @@ def b3_to_map(w, algebra: AlgebraPresentation) -> SemilinearMap:
 
 
 def b3_act(w, p: NCPoly, algebra: AlgebraPresentation) -> NCPoly:
-    maps = _syllable_maps(algebra)
+    maps = syllable_maps(algebra)
     keys = _syllables(b3_normal_form(w))
     if not keys:
         return semilinear_apply(identity_map(algebra), p)
     for key in keys:
         p = semilinear_apply(maps[key], p)
     return p
-
-
-@dataclass(frozen=True)
-class B3Report:
-    """Outcome of the group-relation checks on an algebra."""
-
-    agreements: tuple  # (label, generator, EqualityVerdict)
-    inverses: tuple  # (label, generator, EqualityVerdict)
-    well_defined: tuple  # (map name, MapReport)
-    params_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.params_ok
-            and all(v.equal for _, _, v in self.agreements)
-            and all(v.equal for _, _, v in self.inverses)
-            and all(report.ok for _, report in self.well_defined)
-        )
-
-
-def verify_b3_relations(algebra: AlgebraPresentation) -> B3Report:
-    """Check b^3 = c^2 = a on the generator images, and exhibit
-    b^-1 = a^-1 b^2 and c^-1 = a^-1 c as two-sided inverses."""
-    maps = _syllable_maps(algebra)
-    b, c, a = maps["b"], maps["c"], maps["a"]
-    b_cubed = map_power(b, 3, name="b^3")
-    c_squared = map_power(c, 2, name="c^2")
-
-    well_defined = tuple(
-        (phi.name, verify_map(phi, algebra)) for phi in (b, c, a)
-    )
-
-    agreements = []
-    pairs = ((b_cubed, c_squared), (b_cubed, a), (c_squared, a))
-    for left, right in pairs:
-        label = f"{left.name} = {right.name}"
-        for gen_name in algebra.alphabet.symbols:
-            verdict = algebra.check_equal(left.images[gen_name], right.images[gen_name])
-            agreements.append((label, gen_name, verdict))
-
-    inverses = []
-    ident = identity_map(algebra)
-    for phi, inv_word in ((b, "Abb"), (c, "Ac")):
-        phi_inv = b3_to_map(inv_word, algebra)
-        for left, right, tag in (
-            (phi, phi_inv, f"{phi.name}*({inv_word})"),
-            (phi_inv, phi, f"({inv_word})*{phi.name}"),
-        ):
-            composed = compose_maps(left, right)
-            for gen_name in algebra.alphabet.symbols:
-                verdict = algebra.check_equal(
-                    composed.images[gen_name], ident.images[gen_name]
-                )
-                inverses.append((tag, gen_name, verdict))
-
-    params_ok = (
-        b_cubed.param_map == a.param_map == c_squared.param_map == ident.param_map
-    )
-    return B3Report(tuple(agreements), tuple(inverses), well_defined, params_ok)

@@ -13,6 +13,10 @@ in time linear in the number of steps, and compares hashes.  Replay
 deliberately does not re-run completion: it validates the reduction trace,
 not the provenance of the rules.
 
+The optional `states` list (the rendered element after every step) is a
+function of the certificate: the writer derives it by the same walk over
+the recorded steps that replay makes, and replay checks it step by step.
+
 Tampering surfaces as one of: a hash mismatch, a wrong final rendering,
 or a failing step, reported with its 1-based index: an unknown rule id,
 an absent word, a rule that does not match its recorded word and
@@ -43,7 +47,10 @@ FORMAT_NAME = "daha-reduction-certificate"
 FORMAT_VERSION = 1
 
 
-def certificate_to_json(cert: ReductionCertificate) -> dict:
+def certificate_to_json(cert: ReductionCertificate, states: bool = False) -> dict:
+    """The JSON document of `cert`.  Its `states` are written back as they
+    were read; a certificate without them gets them derived by the replay
+    walk when `states` is set."""
     alphabet = Alphabet(tuple(cert.algebra["generators"]))
     data = {
         "format": FORMAT_NAME,
@@ -66,12 +73,17 @@ def certificate_to_json(cert: ReductionCertificate) -> dict:
     }
     if cert.states is not None:
         data["states"] = list(cert.states)
+    elif states:
+        ring, alphabet, rules, terms = _start(cert)
+        data["states"] = [
+            as_ncpoly(alphabet, ring, terms).render() for _ in _steps(cert, rules, alphabet, terms)
+        ]
     return data
 
 
 def _typed(value, kind: type, what: str):
     """`value` if it is an instance of `kind` (a bool is no int)."""
-    if isinstance(value, kind) and not isinstance(value, bool):
+    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
         return value
     raise CertificateError(f"malformed certificate: {what} is not of type {kind.__name__}")
 
@@ -110,7 +122,8 @@ def certificate_from_json(data: dict) -> ReductionCertificate:
             final=_typed(data["final"], str, "final"),
             final_hash=data["final_hash"],
             confluence_degree=data["confluence_degree"],
-            states=tuple(states) if states is not None else None,
+            states=None if states is None else tuple(
+                _typed(state, str, "a state") for state in _typed(states, list, "states")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
@@ -146,10 +159,23 @@ def replay(cert: ReductionCertificate) -> ReplayResult:
     the result so batch callers can report it.
     """
     try:
-        steps_done = _replay_checked(cert)
+        ring, alphabet, rules, terms = _start(cert)
+        if cert.states is not None and len(cert.states) != len(cert.steps):
+            raise CertificateError("state list does not match the step count")
+        for index in _steps(cert, rules, alphabet, terms):
+            if cert.states is not None and (
+                as_ncpoly(alphabet, ring, terms).render() != cert.states[index - 1]
+            ):
+                raise CertificateError(f"step {index}: state mismatch")
+
+        final = as_ncpoly(alphabet, ring, terms).render()
+        if fnv1a64(final) != cert.final_hash:
+            raise CertificateError("final hash mismatch")
+        if final != cert.final:
+            raise CertificateError("final element does not match its rendering")
     except DahaError as exc:
         return ReplayResult(False, str(exc), 0)
-    return ReplayResult(True, "replayed clean", steps_done)
+    return ReplayResult(True, "replayed clean", len(cert.steps))
 
 
 @lru_cache(maxsize=8)
@@ -161,9 +187,9 @@ def _snapshot(text: str) -> tuple:
     algebra, precedence, rule_texts = json.loads(text)
     try:
         base = BaseRing.from_description(_typed(algebra["base"], str, "the base ring"))
-        ring = ParamRing(
-            base, [(_typed(name, str, "a parameter"), flag) for name, flag in algebra["params"]]
-        )
+        ring = ParamRing(base, [
+            (_typed(name, str, "a parameter"), _typed(flag, bool, "a parameter flag"))
+            for name, flag in algebra["params"]])
         generators = algebra["generators"]
         alphabet = Alphabet(tuple(_typed(name, str, "a generator") for name in generators))
         order = TermOrder(alphabet, precedence)
@@ -183,7 +209,8 @@ def _snapshot(text: str) -> tuple:
     return ring, alphabet, MappingProxyType(rules)
 
 
-def _replay_checked(cert: ReductionCertificate) -> int:
+def _start(cert: ReductionCertificate) -> tuple:
+    """The snapshot's ring, alphabet and rules, and the hash-checked initial term map."""
     try:
         ring, alphabet, rules = _snapshot(json.dumps([cert.algebra, cert.order, cert.rules]))
     except (TypeError, ValueError, RecursionError) as exc:  # no JSON text, or too deep for one
@@ -195,23 +222,14 @@ def _replay_checked(cert: ReductionCertificate) -> int:
         raise CertificateError(f"bad initial element: {exc}") from exc
     if canonical_hash(initial) != cert.initial_hash:
         raise CertificateError("initial hash mismatch")
+    return ring, alphabet, rules, dict(initial.terms)
 
-    if cert.states is not None and len(cert.states) != len(cert.steps):
-        raise CertificateError("state list does not match the step count")
-    terms = dict(initial.terms)
+
+def _steps(cert: ReductionCertificate, rules, alphabet: Alphabet, terms: dict):
+    """Apply the recorded steps to `terms` in place, yielding each 1-based index."""
     for index, step in enumerate(cert.steps, start=1):
         try:
             step_in_place(terms, step, rules, alphabet)
         except (CertificateError, ExponentRangeError) as exc:
             raise CertificateError(f"step {index}: {exc}") from None
-        if cert.states is not None and (
-            as_ncpoly(alphabet, ring, terms).render() != cert.states[index - 1]
-        ):
-            raise CertificateError(f"step {index}: state mismatch")
-
-    final = as_ncpoly(alphabet, ring, terms).render()
-    if fnv1a64(final) != cert.final_hash:
-        raise CertificateError("final hash mismatch")
-    if final != cert.final:
-        raise CertificateError("final element does not match its rendering")
-    return len(cert.steps)
+        yield index

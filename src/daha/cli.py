@@ -37,13 +37,13 @@ def _open(args):
 def _cmd_reduce(args) -> int:
     alg, _ = _open(args)
     element = alg.parse(args.expr)
-    normal, cert = alg.system.reduce_with_certificate(element, verbose=args.verbose_cert)
+    normal, cert = alg.system.reduce_with_certificate(element)
     print(f"algebra: {alg.name} (completed to degree {alg.system.confluence_degree})")
     print(f"input:   {element.render()}")
     print(f"normal:  {normal.render()}")
     print(f"steps:   {len(cert.steps)}")
     if args.json:
-        write_json(certificate_to_json(cert), args.json)
+        write_json(certificate_to_json(cert, states=args.verbose_cert), args.json)
         print(f"certificate: {args.json}")
     return 0
 
@@ -52,11 +52,11 @@ def _cmd_check_equal(args) -> int:
     alg, _ = _open(args)
     lhs = alg.parse(args.lhs)
     rhs = alg.parse(args.rhs)
-    outcome = alg.check_equal(lhs, rhs, verbose=args.verbose_cert)
+    outcome = alg.check_equal(lhs, rhs)
     print(f"algebra: {alg.name} (completed to degree {alg.system.confluence_degree})")
     print(f"verdict: {outcome.summary()}")
     if args.json:
-        write_json(certificate_to_json(outcome.certificate), args.json)
+        write_json(certificate_to_json(outcome.certificate, states=args.verbose_cert), args.json)
         print(f"certificate: {args.json}")
     return 0 if outcome.equal else 1
 

@@ -132,7 +132,7 @@ class ReductionCertificate:
     Contains everything needed to re-run the reduction without the
     originating system: the algebra description, the order, a snapshot
     of the active rules, and the element itself alongside its hash.
-    `states` optionally lists the rendered element after every step.
+    `states`, the rendered element after every step, is set only by decoding.
     """
 
     algebra: dict
@@ -352,16 +352,11 @@ class RewriteSystem:
 
     # -- certificates and equality -----------------------------------------------
 
-    def reduce_with_certificate(self, p: NCPoly, verbose: bool = False):
-        """Normal form plus a certificate that replays the reduction."""
+    def reduce_with_certificate(self, p: NCPoly):
+        """Normal form plus a certificate that replays the reduction.  The
+        certificate records no states: the writer derives them on request
+        (:func:`daha.certificates.certificate_to_json`)."""
         nf, steps = self.normal_form(p, record=True)
-        states = None
-        if verbose:
-            states = []
-            terms = dict(p.terms)
-            for step in steps:
-                step_in_place(terms, step, self.rules, self.alphabet)
-                states.append(as_ncpoly(self.alphabet, self.ring, terms).render())
         initial, final = p.render(), nf.render()
         cert = ReductionCertificate(
             algebra=self.describe(),
@@ -373,12 +368,12 @@ class RewriteSystem:
             final=final,
             final_hash=fnv1a64(final),
             confluence_degree=self.confluence_degree,
-            states=tuple(states) if states is not None else None,
         )
         return nf, cert
 
-    def check_equal(self, p: NCPoly, r: NCPoly | None = None, verbose: bool = False) -> EqualityVerdict:
-        """Decide p = r in the presented algebra, with a certificate.
+    def check_equal(self, p: NCPoly, r: NCPoly | None = None) -> EqualityVerdict:
+        """Decide p = r in the presented algebra, with the certificate of
+        the difference's reduction (see :meth:`reduce_with_certificate`).
 
         Reduction to zero proves equality.  A system completed below the
         difference's degree raises :class:`InsufficientCompletionError`;
@@ -391,7 +386,7 @@ class RewriteSystem:
                 f"difference has degree {diff.degree()} but completion "
                 f"only reached degree {self.confluence_degree}"
             )
-        residual, cert = self.reduce_with_certificate(diff, verbose=verbose)
+        residual, cert = self.reduce_with_certificate(diff)
         verdict = "proved-equal" if residual.is_zero() else "distinct-at-degree"
         return EqualityVerdict(verdict, residual, cert, self.confluence_degree)
 

@@ -18,8 +18,8 @@ from daha import (
     b3_to_map,
     build_xyz,
     preset,
+    run_suite,
     semilinear_apply,
-    verify_b3_relations,
 )
 
 I2 = ((1, 0), (0, 1))
@@ -209,13 +209,12 @@ def test_action_respects_multiplication(udaha):
     ).is_zero()
 
 
-def test_verify_b3_relations(udaha):
-    report = verify_b3_relations(udaha)
-    assert report.ok
-    assert report.params_ok
-    assert [name for name, _ in report.well_defined] == ["b", "c", "conj_T1"]
-    assert all(rep.ok and len(rep.axiom_verdicts) == 5 for _, rep in report.well_defined)
-    assert len(report.agreements) == 12
-    assert len(report.inverses) == 16
-    assert all(entry[-1].equal for entry in report.agreements)
-    assert all(entry[-1].equal for entry in report.inverses)
+def test_verify_b3_relations():
+    result = run_suite("lemma4.2")
+    names = [check.name.split("/") for check in result.checks]
+    assert [n[1:3] for n in names[:15]] == [
+        ["well-defined", m] for m in ("b", "c", "conj_T1") for _ in range(5)]
+    assert [n[1] for n in names[15:27]] == ["agree"] * 12
+    assert [n[1] for n in names[27:43]] == ["inverse"] * 16
+    assert names[43:] == [["lemma4.2", "param-actions-trivial"]]
+    assert result.passed and all(c.verdict == "proved-equal" for c in result.checks)

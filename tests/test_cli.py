@@ -419,6 +419,11 @@ def test_replay_reports_malformed_certificates(capsys, tmp_path, mutate):
         "bad algebra description: not enough values to unpack (expected 2, got 1)",
         id="params-entry-object",
     ),
+    *[pytest.param(
+        lambda d, flag=flag: d["algebra"]["params"][0].__setitem__(1, flag),
+        "malformed certificate: a parameter flag is not of type bool",
+        id=f"params-flag-{kind}",
+    ) for kind, flag in (("string", "false"), ("float", 0.5), ("list", [1]))],
 ])
 def test_replay_names_text_that_does_not_parse(capsys, tmp_path, mutate, message):
     # replayed twice, in-process and by the CLI: a snapshot that fails to
@@ -542,6 +547,15 @@ def test_bad_braid_and_suite_inputs_exit_2(capsys, argv):
     if "nope" in argv:
         _, _, reduce_err = run(capsys, "reduce", "T0", "--algebra", "nope")
         assert err == reduce_err
+
+
+def test_presentation_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfe[algebra]\n")
+    err = (f"error: {str(path)!r} is not UTF-8 text: 'utf-8' codec can't decode "
+           "byte 0xff in position 0: invalid start byte\n")
+    for argv in (("reduce", "T0"), ("suite", "lemma3.7")):
+        assert run(capsys, *argv, "--algebra", str(path)) == (2, "", err)
 
 
 def test_entry_point_smoke():

@@ -131,9 +131,10 @@ def test_the_kernel_writes_only_coefficients_it_made():
     before, rules = snapshot(p), rule_snapshots(alg.system)
     nf, cert = alg.system.reduce_with_certificate(p)
     assert nf == alg.parse("(2 + Q)*T0*V0")
-    verdict = alg.check_equal(p, alg.parse("(2 + Q)*T0*V0"), verbose=True)
-    assert verdict.equal and verdict.certificate.states[-1] == "0"
-    assert replay(cert).ok and replay(verdict.certificate).ok
+    verdict = alg.check_equal(p, alg.parse("(2 + Q)*T0*V0"))
+    verbose = certificate_from_json(certificate_to_json(verdict.certificate, states=True))
+    assert verdict.equal and verbose.states[-1] == "0"
+    assert replay(cert).ok and replay(verbose).ok
     terms = dict(p.terms)
     for step in cert.steps:
         step_in_place(terms, step, alg.system.rules, alg.alphabet)
@@ -452,7 +453,8 @@ def test_certificate_replay(udaha):
 
 def test_certificate_verbose_states(udaha):
     p = udaha.parse("V1*V1*T0")
-    nf, cert = udaha.system.reduce_with_certificate(p, verbose=True)
+    nf, cert = udaha.system.reduce_with_certificate(p)
+    cert = certificate_from_json(certificate_to_json(cert, states=True))
     assert cert.states is not None
     assert len(cert.states) == len(cert.steps)
     assert cert.states[-1] == nf.render()
@@ -499,7 +501,8 @@ def test_mutated_certificate_json_is_refused_or_replayed(udaha, data):
     # any field swapped for a value of another JSON type, or deleted: decoding
     # raises CertificateError or replay returns a result, nothing else
     p = udaha.parse("V0*V0*T0*V1*T1 + 2*T1*T1")
-    _, cert = udaha.system.reduce_with_certificate(p, verbose=True)
+    _, cert = udaha.system.reduce_with_certificate(p)
+    cert = certificate_from_json(certificate_to_json(cert, states=True))
     doc = json.loads(json.dumps(certificate_to_json(cert)))
     path = data.draw(st.sampled_from(list(json_paths(doc))))
     swap = data.draw(JSON_SWAPS)
@@ -528,7 +531,8 @@ def tamper_step(cert, index, **changes):
 
 def test_replay_names_the_failing_step(udaha):
     p = udaha.parse("V0*V0*T0*V1*T1 + T1*T1*V0")
-    _, cert = udaha.system.reduce_with_certificate(p, verbose=True)
+    _, cert = udaha.system.reduce_with_certificate(p)
+    cert = certificate_from_json(certificate_to_json(cert, states=True))
     assert len(cert.steps) >= 3
     first, second = cert.steps[0], cert.steps[1]
 
@@ -566,8 +570,18 @@ def test_replay_names_the_failing_step(udaha):
     assert replay(extreme).message == "step 1: parameter exponent outside -1073741824..1073741823"
 
 
+def test_certificate_states_must_be_a_list_of_texts(udaha):
+    verdict = udaha.check_equal(udaha.parse("T0*T0"), udaha.parse("cT0*T0 - 1"))
+    doc = certificate_to_json(verdict.certificate, states=True)
+    assert doc["states"] == ["0"] and replay(certificate_from_json(doc)).ok
+    for states, kind in (("0", "list"), ({"0": 1}, "list"), ([0], "str")):
+        with pytest.raises(CertificateError, match=f"is not of type {kind}$"):
+            certificate_from_json({**doc, "states": states})
+
+
 def test_certificate_tampered_states(udaha):
     p = udaha.parse("T0*T0")
-    _, cert = udaha.system.reduce_with_certificate(p, verbose=True)
+    _, cert = udaha.system.reduce_with_certificate(p)
+    cert = certificate_from_json(certificate_to_json(cert, states=True))
     fudged = dataclasses.replace(cert, states=("0",) * len(cert.states))
     assert "state mismatch" in replay(fudged).message

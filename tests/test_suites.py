@@ -119,7 +119,7 @@ def test_run_suite_writes_results_and_certificates(tmp_path):
 # changes provably leave every certificate byte unchanged
 GOLDEN_SUITE_ALL = {
     False: "7f5d5f37f0bb46dc32d501da5f85390fb496d64de1d80af98a2cb5cb0f679991",
-    True: "fb0f21a06c8119f55e2a91786ca924b9735a5d7cc2184d21d6fec311c828d22e",
+    True: "8fa302bc8004d10394eeffd1e58133af58cf838a019b7433c97d7a21273fc1dc",
 }
 
 
@@ -134,6 +134,9 @@ def test_suite_all_certificates_are_golden(tmp_path, verbose):
     for path in certs:
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
+        if verbose:
+            data = json.loads(path.read_bytes())
+            assert len(data["states"]) == len(data["steps"]), path.name
     assert digest.hexdigest() == GOLDEN_SUITE_ALL[verbose]
 
 
