@@ -7,11 +7,13 @@ ring, alphabet and validated rules of each distinct snapshot (the JSON text
 of algebra, order and rules) once per process, in a small LRU that never
 keeps a failed build, with every check run as on a fresh build.  Each
 certificate then pays only for its own part: it parses its initial element,
-applies every recorded step in place to one term map through the
-reduction's own kernel (copy-on-write, see :func:`daha.ncpoly.add_product`),
-in time linear in the number of steps, and compares hashes.  Replay
-deliberately does not re-run completion: it validates the reduction trace,
-not the provenance of the rules.
+hashes that text as read (every writer writes the canonical rendering, so
+the element is never rendered again), applies every recorded step in place
+to one term map through the reduction's own kernel (copy-on-write, see
+:func:`daha.ncpoly.add_product`), in time linear in the number of steps,
+and renders and hashes the final element.  Replay deliberately does not
+re-run completion: it validates the reduction trace, not the provenance of
+the rules.
 
 The optional `states` list (the rendered element after every step) is a
 function of the certificate: the writer derives it by the same walk over
@@ -33,7 +35,7 @@ from types import MappingProxyType
 from .coeffring import BaseRing, ParamRing
 from .errors import CertificateError, DahaError, ExponentRangeError
 from .exprs import parse_expr
-from .ncpoly import Alphabet, TermOrder, canonical_hash, fnv1a64
+from .ncpoly import Alphabet, TermOrder, fnv1a64
 from .rewrite import (
     ReductionCertificate,
     ReductionStep,
@@ -94,7 +96,7 @@ def certificate_from_json(data: dict) -> ReductionCertificate:
     if data.get("version") != FORMAT_VERSION:
         raise CertificateError(f"unsupported version {data.get('version')!r}")
     try:
-        generators = data["algebra"]["generators"]
+        generators = _typed(data["algebra"]["generators"], list, "generators")
         alphabet = Alphabet(tuple(_typed(name, str, "a generator") for name in generators))
         steps = tuple(
             ReductionStep(
@@ -107,7 +109,8 @@ def certificate_from_json(data: dict) -> ReductionCertificate:
         states = data.get("states")
         return ReductionCertificate(
             algebra=data["algebra"],
-            order=tuple(data["order"]),
+            order=tuple(
+                _typed(name, str, "an order entry") for name in _typed(data["order"], list, "order")),
             rules=tuple(
                 (
                     _typed(entry["id"], int, "a rule id"),
@@ -121,7 +124,7 @@ def certificate_from_json(data: dict) -> ReductionCertificate:
             steps=steps,
             final=_typed(data["final"], str, "final"),
             final_hash=data["final_hash"],
-            confluence_degree=data["confluence_degree"],
+            confluence_degree=_typed(data["confluence_degree"], int, "confluence_degree"),
             states=None if states is None else tuple(
                 _typed(state, str, "a state") for state in _typed(states, list, "states")),
         )
@@ -210,7 +213,9 @@ def _snapshot(text: str) -> tuple:
 
 
 def _start(cert: ReductionCertificate) -> tuple:
-    """The snapshot's ring, alphabet and rules, and the hash-checked initial term map."""
+    """The snapshot's ring, alphabet and rules, and the initial term map.  The
+    hash is taken over the initial text as read, after the parse, so a text
+    that does not parse is named first and the element is never rendered."""
     try:
         ring, alphabet, rules = _snapshot(json.dumps([cert.algebra, cert.order, cert.rules]))
     except (TypeError, ValueError, RecursionError) as exc:  # no JSON text, or too deep for one
@@ -220,7 +225,7 @@ def _start(cert: ReductionCertificate) -> tuple:
         initial = parse_expr(cert.initial, alphabet, ring)
     except (DahaError, ValueError) as exc:
         raise CertificateError(f"bad initial element: {exc}") from exc
-    if canonical_hash(initial) != cert.initial_hash:
+    if fnv1a64(cert.initial) != cert.initial_hash:
         raise CertificateError("initial hash mismatch")
     return ring, alphabet, rules, dict(initial.terms)
 

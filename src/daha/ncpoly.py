@@ -65,7 +65,8 @@ class Alphabet:
     def render_word(self, w: Word) -> str:
         if not w:
             return "1"
-        return "*".join(self.symbols[g] for g in w)
+        symbols = self.symbols
+        return "*".join([symbols[g] for g in w])
 
     def parse_word(self, text: str) -> Word:
         text = text.strip()
@@ -376,11 +377,11 @@ def fnv1a64(text: str) -> str:
     """64-bit FNV-1a of the UTF-8 bytes, as 16 lowercase hex digits."""
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return f"{h:016x}"
 
 
 def canonical_hash(p: NCPoly) -> str:
-    """Hash of the canonical rendering; what certificates pin down."""
+    """Hash of the canonical rendering, which is the text every certificate
+    writer hashes; replay hashes a certificate's texts as read."""
     return fnv1a64(p.render())

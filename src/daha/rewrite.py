@@ -36,7 +36,7 @@ import heapq
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .coeffring import ParamRing, monomial_inverse
 from .errors import (
@@ -83,9 +83,10 @@ def make_rule(order: TermOrder, rule_id: int, lhs: Word, rhs: NCPoly) -> Rewrite
     return RewriteRule(rule_id, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """One rewrite: rule `rule_id` applied to term word `word` at `position`."""
+class ReductionStep(NamedTuple):
+    """One rewrite: rule `rule_id` applied to term word `word` at `position`.
+    A named tuple: immutable, and cheap to build once per step, in reduction
+    and again in decoding."""
 
     rule_id: int
     position: int

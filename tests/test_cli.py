@@ -9,11 +9,13 @@ import sys
 import pytest
 
 from daha import (
+    CertificateError,
     OrientationError,
     certificate_from_json,
     certificate_to_json,
     certificates,
     exprs,
+    fnv1a64,
     preset,
     read_certificate,
     replay,
@@ -411,9 +413,25 @@ def test_replay_reports_malformed_certificates(capsys, tmp_path, mutate):
     ),
     pytest.param(
         lambda d: d["order"].__setitem__(0, ["T0"]),
-        "bad algebra description: '<' not supported between instances of 'str' and 'list'",
+        "malformed certificate: an order entry is not of type str",
         id="order-holds-a-list",
     ),
+    pytest.param(
+        lambda d: d.update(order={name: i for i, name in enumerate(d["order"])}),
+        "malformed certificate: order is not of type list",
+        id="order-object",
+    ),
+    pytest.param(
+        lambda d: d["algebra"].update(
+            generators={name: i for i, name in enumerate(d["algebra"]["generators"])}),
+        "malformed certificate: generators is not of type list",
+        id="generators-object",
+    ),
+    *[pytest.param(
+        lambda d, degree=degree: d.update(confluence_degree=degree),
+        "malformed certificate: confluence_degree is not of type int",
+        id=f"confluence-degree-{kind}",
+    ) for kind, degree in (("string", "six"), ("bool", True))],
     pytest.param(
         lambda d: d["algebra"]["params"].__setitem__(0, {"cT0": False}),
         "bad algebra description: not enough values to unpack (expected 2, got 1)",
@@ -436,10 +454,29 @@ def test_replay_names_text_that_does_not_parse(capsys, tmp_path, mutate, message
     assert data["initial"] == "V0*V0*T0*V1*T1 + 2*T1*V0"
     mutate(data)
     cert_path.write_text(json.dumps(data))
-    outcome = replay(read_certificate(cert_path))
-    assert (outcome.ok, outcome.message) == (False, message)
+    try:  # the strict decoder refuses some; the CLI reports both alike
+        outcome = replay(read_certificate(cert_path))
+        got = (outcome.ok, outcome.message)
+    except CertificateError as exc:
+        got = (False, str(exc))
+    assert got == (False, message)
     code, out, err = run(capsys, "replay", str(cert_path))
     assert (code, out, err) == (1, f"{cert_path}: invalid ({message})\n", "")
+
+
+def test_replay_hashes_the_initial_text_as_written(capsys, tmp_path):
+    # the same element respelled keeps its canonical hash but not its text's
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "reduce", "V0*V0*T0*V1*T1 + 2*T1*V0", "--degree", "6",
+        "--json", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    assert data["initial_hash"] == fnv1a64(data["initial"])
+    data["initial"] = "2*T1*V0 + V0*V0*T0*V1*T1"
+    respelled = certificate_from_json(data)
+    outcome = replay(respelled)
+    assert (outcome.ok, outcome.message) == (False, "initial hash mismatch")
+    rehashed = dataclasses.replace(respelled, initial_hash=fnv1a64(respelled.initial))
+    assert replay(rehashed).ok
 
 
 def test_replay_rebuilds_the_snapshot_of_a_changed_rule(capsys, tmp_path):

@@ -525,7 +525,7 @@ def test_mutated_certificate_json_is_refused_or_replayed(udaha, data):
 
 def tamper_step(cert, index, **changes):
     steps = list(cert.steps)
-    steps[index] = dataclasses.replace(steps[index], **changes)
+    steps[index] = steps[index]._replace(**changes)
     return dataclasses.replace(cert, steps=tuple(steps))
 
 
