@@ -67,7 +67,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exprs import load_presentation, parse_expr
-from .ncpoly import Alphabet, NCPoly, TermOrder, canonical_hash, fnv1a64
+from .ncpoly import Alphabet, NCPoly, TermOrder, fnv1a64
 from .rewrite import (
     ReductionStep,
     RewriteSystem,

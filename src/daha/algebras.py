@@ -37,6 +37,7 @@ from .coeffring import (
     specialize,
 )
 from .errors import (
+    DahaError,
     ExtractionError,
     ParseError,
     PresentationError,
@@ -236,7 +237,7 @@ def from_presentation(
             raise PresentationError(f"bad rule {lhs_text!r}: {exc}") from None
         try:
             pres.add_axiom(lhs, rhs)
-        except Exception as exc:
+        except DahaError as exc:
             raise PresentationError(f"cannot orient rule {lhs_text!r}: {exc}") from None
     return pres
 
@@ -545,43 +546,32 @@ def aw_form_extract(algebra: AlgebraPresentation) -> tuple:
     """The relations for z, x and y, each matched against g*target + h
     with h supported on {1, T1}.
 
-    The scalar g is recovered wordwise by exact division of coefficients
-    on the support of the reduced target (off {1, T1}); disagreement
-    between words, leftover support outside {1, T1}, or a failed final
-    check_equal all raise :class:`ExtractionError`.
+    The scalar g is one exact division of coefficients, at the first word
+    of the reduced target off {1, T1}.  A word where g does not fit keeps
+    a coefficient in h, so leftover support outside {1, T1}, like a failed
+    final check_equal, raises :class:`ExtractionError`.
     """
     qv = q_value(algebra)
     q_inv = monomial_inverse(qv)
-    one_word = ()
-    t1_word = algebra.alphabet.word("T1")
+    low = {(), algebra.alphabet.word("T1")}  # the words 1 and T1, where h lives
     relations = []
     for _, _, target_name, e1, e2, e3 in cyclic_triples(build_xyz(algebra)):
         combo = algebra.scalar(qv) * e1 * e2 - algebra.scalar(q_inv) * e2 * e1
         reduced = algebra.nf(combo)
         target = algebra.nf(e3)
-        g = None
-        for word in target.support():
-            if word in (one_word, t1_word):
-                continue
-            numerator = reduced.terms.get(word)
-            if numerator is None:
-                raise ExtractionError(
-                    f"relation {target_name}: no {algebra.alphabet.render_word(word)} "
-                    "term to divide"
-                )
-            ratio = divide_exact(numerator, target.terms[word])
-            if g is None:
-                g = ratio
-            elif g != ratio:
-                raise ExtractionError(
-                    f"relation {target_name}: inconsistent scalar across words"
-                )
-        if g is None:
+        word = next((w for w in target.support() if w not in low), None)
+        if word is None:
             raise ExtractionError(
                 f"relation {target_name}: target support is degenerate"
             )
+        if word not in reduced.terms:
+            raise ExtractionError(
+                f"relation {target_name}: no {algebra.alphabet.render_word(word)} "
+                "term to divide"
+            )
+        g = divide_exact(reduced.terms[word], target.terms[word])
         h = reduced - target.scale(g)
-        if not set(h.support()) <= {one_word, t1_word}:
+        if not set(h.support()) <= low:
             raise ExtractionError(
                 f"relation {target_name}: remainder is not supported on 1, T1"
             )

@@ -3,9 +3,9 @@
 Elements are kept in the normal form a^m * s1 ... sk, where a = b^3 =
 c^2 generates the center and the tail s1 ... sk is a strictly
 alternating word in the syllables {b, bb} and {c}.  Modulo the center
-the group is Z3 * Z2, whose free-product normal form is unique, and the
-a-exponent is tracked exactly through every rewrite, so two BraidWords
-are equal in the group iff they are structurally equal.
+the group is Z3 * Z2, whose free-product normal form is unique, and a
+letter table tracks the a-exponent exactly (B = a^-1 b^2, C = a^-1 c),
+so two BraidWords are equal in the group iff they are structurally equal.
 
 The action on an algebra is built from the shipped semilinear maps: a
 acts by conjugation with T1, b and c by their generator tables.  It
@@ -38,6 +38,19 @@ from .errors import ParseError
 from .ncpoly import NCPoly
 
 
+#: letter -> (a-power it adds, syllable kind, letters it pushes)
+_LETTERS = {
+    "a": (1, "", 0),
+    "A": (-1, "", 0),
+    "b": (0, "b", 1),
+    "B": (-1, "b", 2),
+    "c": (0, "c", 1),
+    "C": (-1, "c", 1),
+}
+#: the order of each syllable kind modulo the center: b^3 = c^2 = a
+_ORDER = {"b": 3, "c": 2}
+
+
 @dataclass(frozen=True)
 class BraidWord:
     a_power: int
@@ -61,48 +74,26 @@ class BraidWord:
     def parse(cls, letters: Iterable[str]) -> "BraidWord":
         """Normalize a letter sequence over b, B, c, C, a, A.
 
-        Capitals are inverses, eliminated via b^-1 = a^-1 b^2 and
-        c^-1 = a^-1 c; adjacent like syllables then merge modulo
-        b^3 = c^2 = a.  Whitespace is skipped.
+        Each letter adds its a-power and pushes its syllable letters, merged
+        with a top syllable of the same kind; whole multiples of b^3 = c^2 = a
+        carry into the a-power.  Whitespace is skipped.
         """
         a_power = 0
         stack: list = []
-
-        def push_b(count: int):
-            nonlocal a_power
-            if stack and stack[-1][0] == "b":
-                count += len(stack.pop())
-            if count >= 3:
-                a_power += count // 3
-                count %= 3
-            if count:
-                stack.append("b" * count)
-
-        def push_c():
-            nonlocal a_power
-            if stack and stack[-1] == "c":
-                stack.pop()
-                a_power += 1
-            else:
-                stack.append("c")
-
         for pos, ch in enumerate(letters):
-            if ch == "a":
-                a_power += 1
-            elif ch == "A":
-                a_power -= 1
-            elif ch == "b":
-                push_b(1)
-            elif ch == "B":
-                a_power -= 1
-                push_b(2)
-            elif ch == "c":
-                push_c()
-            elif ch == "C":
-                a_power -= 1
-                push_c()
-            elif not ch.isspace():
+            if ch.isspace():
+                continue
+            if ch not in _LETTERS:
                 raise ParseError(f"bad braid letter {ch!r}", pos)
+            power, kind, count = _LETTERS[ch]
+            a_power += power
+            if kind:
+                if stack and stack[-1][0] == kind:
+                    count += len(stack.pop())
+                carry, count = divmod(count, _ORDER[kind])
+                a_power += carry
+                if count:
+                    stack.append(kind * count)
         return cls(a_power, tuple(stack))
 
     def letters(self) -> str:

@@ -11,6 +11,7 @@ exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional
 
@@ -72,11 +73,7 @@ def _cmd_complete(args) -> int:
     if args.json:
         payload = {
             "algebra": alg.system.describe(),
-            "degree": report.degree,
-            "passes": report.passes,
-            "rules_added": report.rules_added,
-            "ambiguities_checked": report.ambiguities_checked,
-            "ambiguities_skipped": report.ambiguities_skipped,
+            **dataclasses.asdict(report),
             "rules": [
                 {"id": rule.id, "lhs": rule.text[0], "rhs": rule.text[1]} for rule in rules
             ],

@@ -379,9 +379,3 @@ def fnv1a64(text: str) -> str:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return f"{h:016x}"
-
-
-def canonical_hash(p: NCPoly) -> str:
-    """Hash of the canonical rendering, which is the text every certificate
-    writer hashes; replay hashes a certificate's texts as read."""
-    return fnv1a64(p.render())

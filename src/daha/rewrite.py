@@ -255,7 +255,8 @@ class RewriteSystem:
         bucket[bucket.index(old)] = new
 
     def sorted_rules(self) -> list:
-        return sorted(self.rules.values(), key=lambda r: r.id)
+        # ids only grow and _replace_rhs keeps its key, so insertion order is id order
+        return list(self.rules.values())
 
     def describe(self) -> dict:
         return {

@@ -108,6 +108,14 @@ class SuiteResult:
         }
 
 
+#: Theorem 2.4's specializations of H_generic: tag -> (base ring, value of q)
+SPECIALIZATIONS = {
+    "H_q1": (RATIONALS, 1),
+    "H_q-1": (RATIONALS, -1),
+    "H_qs": (BaseRing.cyclotomic(4), BaseRing.cyclotomic(4).generator()),
+}
+
+
 class Workspace:
     """Completed algebras shared across the checks of one run.
 
@@ -150,22 +158,14 @@ class Workspace:
         return alg
 
     def specialized(self, tag: str) -> AlgebraPresentation:
-        """H_generic at q = 1, q = -1, or q = s (s^2 = -1), built anew on each call."""
+        """H_generic as in use, at the q and over the base of SPECIALIZATIONS[tag],
+        keeping its other parameters; built anew on each call."""
         source = self.algebra("H_generic")
-        kl = [("k0", True), ("k1", True), ("l0", True), ("l1", True)]
-        if tag == "H_q1":
-            ring = ParamRing(RATIONALS, kl)
-            value = ring.scalar(1)
-        elif tag == "H_q-1":
-            ring = ParamRing(RATIONALS, kl)
-            value = ring.scalar(-1)
-        elif tag == "H_qs":
-            base = BaseRing("cyclotomic", 4)
-            ring = ParamRing(base, kl)
-            value = ring.scalar(base.generator())
-        else:
-            raise ValueError(f"unknown specialization {tag!r}")
-        alg = specialize_presentation(source, {q_symbol(source): value}, ring, tag)
+        base, value = SPECIALIZATIONS[tag]
+        q = q_symbol(source)
+        kept = [(n, f) for n, f in zip(source.ring.params, source.ring.invertible) if n != q]
+        ring = ParamRing(base, kept)
+        alg = specialize_presentation(source, {q: ring.scalar(value)}, ring, tag)
         alg.complete(self.degree)
         return alg
 
@@ -283,27 +283,21 @@ def _suite_lemma4_2(col: _Collector, ws: Workspace):
                    b_cubed.param_map == a.param_map == c_squared.param_map == identity)
 
 
+#: Lemma 4.3's action of b and c on the trace symbols, keyed by generator
+#: names, q fixed; pinned apart from MAP_TABLES, which builds the maps tested.
+LEMMA4_3_TABLES = {
+    "b": {"V0": "V1", "T0": "V0", "V1": "T0", "T1": "T1"},
+    "c": {"V0": "V1", "V1": "V0", "T0": "T0", "T1": "T1"},
+}
+
+
 def _suite_lemma4_3(col: _Collector, ws: Workspace):
     alg = ws.algebra("UDAHA_model")
-    sym = {g: trace_symbol(alg, g) for g in ("T0", "T1", "V0", "V1")}
     qs = q_symbol(alg)
-    tables = (
-        (braid_b_map(alg), {
-            sym["V0"]: sym["V1"],
-            sym["T0"]: sym["V0"],
-            sym["V1"]: sym["T0"],
-            sym["T1"]: sym["T1"],
-            qs: qs,
-        }),
-        (braid_c_map(alg), {
-            sym["V0"]: sym["V1"],
-            sym["V1"]: sym["V0"],
-            sym["T0"]: sym["T0"],
-            sym["T1"]: sym["T1"],
-            qs: qs,
-        }),
-    )
-    for phi, table in tables:
+    for phi in (braid_b_map(alg), braid_c_map(alg)):
+        table = {qs: qs}
+        for gen_name, image in LEMMA4_3_TABLES[phi.name].items():
+            table[trace_symbol(alg, gen_name)] = trace_symbol(alg, image)
         for src in alg.ring.params:
             image = semilinear_apply(phi, alg.scalar(alg.param(src)))
             col.check(
@@ -367,14 +361,13 @@ def _suite_thm2_4(col: _Collector, ws: Workspace):
     except DahaError as exc:
         col.error("thm2.4/iii/setup", "H_qs", exc)
     else:
-        two = spec4.ring.scalar(2)
-        s = spec4.ring.scalar(spec4.ring.base.generator())
+        s = spec4.ring.scalar(SPECIALIZATIONS["H_qs"][1])
         for a1, a2, target, e1, e2, _ in cyclic_triples(s_xyz):
             col.check(
                 f"thm2.4/iii/{a1}{a2}-anticommutator",
                 spec4,
                 e1 * e2 + e2 * e1,
-                aw_rhs(spec4, target, q=s).scale(two),
+                aw_rhs(spec4, target, q=s).scale(2),
             )
 
     for target, product, e3, spread, rhs in _cleared_relations(generic, generic.param("q")):

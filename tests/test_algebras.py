@@ -3,11 +3,13 @@
 import pytest
 
 from daha import (
+    AlgebraPresentation,
     NCPoly,
     PRESET_NAMES,
     PresentationError,
     SemilinearMap,
     UnsupportedPresetError,
+    Workspace,
     aw_form_extract,
     aw_rhs,
     braid_b_map,
@@ -21,6 +23,7 @@ from daha import (
     load_presentation,
     map_power,
     preset,
+    presentation_spec,
     resolve_algebra,
     semilinear_apply,
     specialize_presentation,
@@ -28,6 +31,7 @@ from daha import (
 )
 from daha.algebras import apply_param_map, product_axiom, q_symbol, q_value, trace_symbol
 from daha.coeffring import RATIONALS, ParamRing
+from daha.errors import ExtractionError
 
 from conftest import inv_element, specialize_ncpoly, surjection_assignment
 
@@ -102,7 +106,7 @@ def test_from_presentation_rejects_bad_rules():
             "[algebra]\nname = bad\nparams = c\ngenerators = u\n"
             "[rules]\nu*u = w\n"
         ))
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=r"^cannot orient rule 'u\*u': rhs word u\*u\*u does"):
         from_presentation(load_presentation(
             "[algebra]\nname = bad\nparams = c\ngenerators = u\n"
             "[rules]\nu*u = u*u*u\n"  # not orientable
@@ -113,6 +117,17 @@ def test_from_presentation_rejects_bad_rules():
                 "[algebra]\nname = bad\nparams = c\ngenerators = u, v\n"
                 f"[rules]\nu*u = 1\n[order]\npermutation = {permutation}\n"
             ))
+
+
+def test_from_presentation_lets_a_fault_surface(monkeypatch):
+    # only a DahaError from add_axiom is a refusal of the rule; anything
+    # else is a fault and keeps its own type
+    def broken(self, lhs, rhs):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr(AlgebraPresentation, "add_axiom", broken)
+    with pytest.raises(RuntimeError, match="^fault$"):
+        from_presentation(presentation_spec("CentralPair"))
 
 
 # -- inverses -------------------------------------------------------------------
@@ -347,3 +362,13 @@ def test_aw_form_extract(udaha):
         assert rel.g == g_expected
         assert rel.h == udaha.nf(coeff * aw_rhs(udaha, rel.name, q=qv))
     assert [rel.name for rel in form] == ["z", "x", "y"]
+
+
+@pytest.mark.parametrize("tag", ["H_q1", "H_q-1", "H_qs"])
+def test_aw_form_extract_refuses_a_target_it_cannot_divide(tag):
+    # at q^2 = 1 or q^2 = -1 the q-commutator of x and y has no T1*T0
+    # term, so the first word of z off {1, T1} has nothing to divide
+    specialized = Workspace(degree=8).specialized(tag)
+    with pytest.raises(ExtractionError) as info:
+        aw_form_extract(specialized)
+    assert str(info.value) == "relation z: no T1*T0 term to divide"

@@ -7,6 +7,7 @@ and the exponent sum is injective on it, so two words represent the
 same group element exactly when both invariants agree.
 """
 
+import itertools
 import random
 
 import pytest
@@ -82,9 +83,15 @@ def test_oracle_sanity():
 
 
 def test_normal_form_preserves_the_element():
+    # every word of at most four letters meets each merge of the letter
+    # table; the random words reach longer stacks
     rng = random.Random(101)
-    for _ in range(300):
-        text = random_letters(rng)
+    short = (
+        "".join(letters)
+        for n in range(5)
+        for letters in itertools.product("bBcCaA", repeat=n)
+    )
+    for text in itertools.chain(short, (random_letters(rng) for _ in range(300))):
         w = b3_normal_form(text)
         assert invariant(w.letters()) == invariant(text)
         # normalizing is idempotent

@@ -16,7 +16,6 @@ from daha import (
     ParamRing,
     TermOrder,
     ZeroPolynomialError,
-    canonical_hash,
     fnv1a64,
 )
 
@@ -225,5 +224,5 @@ def test_canonical_hash_ignores_construction_order():
     p = mono("T0") + mono("V1 T1") - 2
     q = -2 + (mono("V1 T1") + mono("T0"))
     assert p == q
-    assert canonical_hash(p) == canonical_hash(q) == fnv1a64(p.render())
-    assert canonical_hash(p) != canonical_hash(p + 1)
+    assert p.render() == q.render()
+    assert fnv1a64(p.render()) != fnv1a64((p + 1).render())

@@ -22,9 +22,9 @@ from daha import (
     ReductionStep,
     RewriteSystem,
     TermOrder,
-    canonical_hash,
     certificate_from_json,
     certificate_to_json,
+    fnv1a64,
     four_cycle,
     make_rule,
     preset,
@@ -566,7 +566,7 @@ def test_replay_names_the_failing_step(udaha):
     # the product axiom's Q^-1 takes this initial element's Q out of range
     _, product = udaha.system.reduce_with_certificate(udaha.parse("V0*T0*V1*T1"))
     initial = udaha.parse("Q^-1073741824*V0*T0*V1*T1")
-    extreme = dataclasses.replace(product, initial=initial.render(), initial_hash=canonical_hash(initial))
+    extreme = dataclasses.replace(product, initial=initial.render(), initial_hash=fnv1a64(initial.render()))
     assert replay(extreme).message == "step 1: parameter exponent outside -1073741824..1073741823"
 
 

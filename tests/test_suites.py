@@ -79,6 +79,27 @@ def test_override_without_the_model_generators_fails_setup():
     assert not result.passed
 
 
+RENAMED_H_GENERIC = """
+    [algebra]
+    name = H_generic
+    params = a0 inv, a1 inv, b0 inv, b1 inv, q inv
+    generators = T0, T1, V0, V1
+    [rules]
+    T0*T0 = (a0 + a0^-1)*T0 - 1
+    T1*T1 = (a1 + a1^-1)*T1 - 1
+    V0*V0 = (b0 + b0^-1)*V0 - 1
+    V1*V1 = (b1 + b1^-1)*V1 - 1
+    V0*T0*V1*T1 = q^-1
+"""
+
+
+def test_specializations_keep_the_parameters_of_the_algebra_in_use():
+    result = run_suite("thm2.4", degree=6, override=load_presentation(RENAMED_H_GENERIC))
+    assert [c.line() for c in result.checks if not c.passed] == []
+    assert result.counts() == (18, 18)
+    assert {c.algebra for c in result.checks} == {"H_generic", "H_q1", "H_q-1", "H_qs"}
+
+
 def test_broken_presentation_fails_value_checks(data_dir):
     spec = load_presentation((data_dir / "udaha_broken.alg").read_text())
     result = run_suite("lemma3.7", degree=6, override=spec)
