@@ -23,7 +23,6 @@ from .algebras import (
     map_power,
     preset,
     presentation_spec,
-    resolve_algebra,
     semilinear_apply,
     specialize_presentation,
     verify_map,

@@ -189,11 +189,10 @@ PRESET_TEXTS = {
 PRESET_NAMES = tuple(PRESET_TEXTS)
 
 
-def preset(name: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
-    """One of the shipped presentations, optionally reordered."""
-    if name not in PRESET_TEXTS:
-        raise UnsupportedPresetError(f"unknown preset {name!r}")
-    return resolve_algebra(name, order)
+def preset(token: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
+    """A shipped preset by name, or the presentation in the file at path
+    `token`, optionally reordered."""
+    return from_presentation(presentation_spec(token), order)
 
 
 def presentation_spec(token: str) -> PresentationSpec:
@@ -210,11 +209,6 @@ def presentation_spec(token: str) -> PresentationSpec:
         except UnicodeDecodeError as exc:
             raise PresentationError(f"{token!r} is not UTF-8 text: {exc}") from None
     return load_presentation(text)
-
-
-def resolve_algebra(token: str, order: Optional[Sequence[str]] = None) -> AlgebraPresentation:
-    """A preset name, or a path to a presentation file, optionally reordered."""
-    return from_presentation(presentation_spec(token), order)
 
 
 def from_presentation(

@@ -67,10 +67,6 @@ class BraidWord:
             last = kind
 
     @classmethod
-    def identity(cls) -> "BraidWord":
-        return cls(0, ())
-
-    @classmethod
     def parse(cls, letters: Iterable[str]) -> "BraidWord":
         """Normalize a letter sequence over b, B, c, C, a, A.
 
@@ -109,16 +105,6 @@ class BraidWord:
             return NotImplemented
         merged = BraidWord.parse("".join(self.tail) + "".join(other.tail))
         return BraidWord(self.a_power + other.a_power + merged.a_power, merged.tail)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord.parse(self.letters().swapcase()[::-1])
-
-    def __pow__(self, power: int) -> "BraidWord":
-        out = BraidWord.identity()
-        base = self if power >= 0 else self.inverse()
-        for _ in range(abs(power)):
-            out = out * base
-        return out
 
 
 def b3_normal_form(letters: Union[str, Iterable[str], BraidWord]) -> BraidWord:

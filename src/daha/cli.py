@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .algebras import PRESET_NAMES, presentation_spec, resolve_algebra
+from .algebras import PRESET_NAMES, preset, presentation_spec
 from .braid import b3_act, b3_normal_form
 from .certificates import certificate_to_json, read_certificate, replay, write_json
 from .errors import DahaError
@@ -31,7 +31,7 @@ def _parse_order(text: Optional[str]):
 
 def _open(args):
     """The command's algebra, completed to its degree, and the completion report."""
-    alg = resolve_algebra(args.algebra, _parse_order(args.order))
+    alg = preset(args.algebra, _parse_order(args.order))
     return alg, alg.complete(args.degree)
 
 

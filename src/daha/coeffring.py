@@ -10,9 +10,10 @@ loop of Python operators for every base ring.  A rational scalar is an
 `int` when it is whole and a `Fraction` otherwise: only real division
 (`BaseRing.inv`, `monomial_inverse`, `divide_exact`, a parsed `a/b`)
 makes a `Fraction`, and a whole `Fraction` left behind by arithmetic
-compares, hashes and renders like its `int`.  A cyclotomic scalar is a
-:class:`Cyclo`, a tuple of such rationals whose operators are those of
-the quotient ring.
+compares, hashes and renders like its `int`.  The degree-one cyclotomic
+quotients are Q, so their scalars are rationals too; a scalar of
+Q[s]/(s^2 + 1) is a :class:`Cyclo`, a pair of such rationals whose
+operators are those of the quotient ring.
 
 A :class:`ParamRing` fixes a base ring together with an ordered list of
 parameter symbols, each flagged invertible or plain.  Negative exponents
@@ -48,12 +49,6 @@ from .errors import (
     UnitViolationError,
 )
 
-#: supported cyclotomic indices and the degree of the minimal polynomial
-_CYCLO_DEGREE = {1: 1, 2: 1, 4: 2}
-
-#: residue of the distinguished generator s in the degree-one quotients
-_CYCLO_S_VALUE = {1: 1, 2: -1}
-
 #: bits per slot of an exponent key, the top one the guard; 32 lets `unpack` use `struct`
 SLOT_BITS = 32
 
@@ -73,9 +68,8 @@ def _rational(q) -> Union[int, Fraction]:
 
 
 class Cyclo(tuple):
-    """An element of Q[s] modulo a cyclotomic polynomial: the rational
-    coefficients of 1, s, ... below its degree, with the quotient's
-    `+`, `-` and `*` (s^2 = -1 at length 2).  Equal to the plain tuple."""
+    """An element a + b*s of Q[s]/(s^2 + 1): the pair (a, b) of rationals,
+    with the quotient's `+`, `-` and `*`.  Equal to the plain tuple."""
 
     __slots__ = ()
 
@@ -89,8 +83,6 @@ class Cyclo(tuple):
         return Cyclo(map(neg, self))
 
     def __mul__(self, other):
-        if len(self) == 1:
-            return Cyclo((self[0] * other[0],))
         (a0, a1), (b0, b1) = self, other
         return Cyclo((a0 * b0 - a1 * b1, a0 * b1 + a1 * b0))
 
@@ -104,50 +96,42 @@ Scalar = Union[int, Fraction, Cyclo]
 
 
 class BaseRing:
-    """The rationals, or Q[s] modulo the n-th cyclotomic polynomial.
+    """The rationals (`n` is None), or Q[s] modulo the n-th cyclotomic
+    polynomial for n in {1, 2, 4}; all of them are fields.
 
-    Only n in {1, 2, 4} is supported; all three quotients are fields.
-    Rational elements are `int` when whole and `Fraction` otherwise;
-    cyclotomic elements are :class:`Cyclo` tuples of such rationals,
-    listing coefficients of 1, s, ... below the degree of the minimal
-    polynomial (length 1 for n in {1, 2}, length 2 for n = 4, where
-    s^2 = -1).  Elements do their own arithmetic, and `kind` is read only
-    off the arithmetic path.
+    Q[s]/(s - 1) and Q[s]/(s + 1) are Q with s = 1 and s = -1, so their
+    elements are rationals, as over the rationals: an `int` when whole and
+    a `Fraction` otherwise.  Over n = 4, where s^2 = -1, an element is a
+    :class:`Cyclo` pair of such rationals.  Elements do their own
+    arithmetic, and `n` is read only off the arithmetic path.
     """
 
-    __slots__ = ("kind", "n")
+    __slots__ = ("n",)
 
-    def __init__(self, kind: str, n: int | None = None):
-        if kind == "rationals":
-            if n is not None:
-                raise ValueError("rationals take no index")
-        elif kind == "cyclotomic":
-            if n not in _CYCLO_DEGREE:
-                raise ValueError("only cyclotomic(1), (2) and (4) are supported")
-        else:
-            raise ValueError(f"unknown base ring kind {kind!r}")
-        self.kind = kind
+    def __init__(self, n: int | None = None):
+        if n not in (None, 1, 2, 4):
+            raise ValueError("only cyclotomic(1), (2) and (4) are supported")
         self.n = n
 
     @staticmethod
     def rationals() -> "BaseRing":
-        return BaseRing("rationals")
+        return BaseRing()
 
     @staticmethod
     def cyclotomic(n: int) -> "BaseRing":
-        return BaseRing("cyclotomic", n)
+        return BaseRing(n)
 
     def __eq__(self, other):
-        return isinstance(other, BaseRing) and (self.kind, self.n) == (other.kind, other.n)
+        return isinstance(other, BaseRing) and self.n == other.n
 
     def __hash__(self):
-        return hash((self.kind, self.n))
+        return hash(self.n)
 
     def __repr__(self):
         return f"BaseRing({self.describe()})"
 
     def describe(self) -> str:
-        return "rationals" if self.kind == "rationals" else f"cyclotomic({self.n})"
+        return "rationals" if self.n is None else f"cyclotomic({self.n})"
 
     @staticmethod
     def from_description(text: str) -> "BaseRing":
@@ -165,31 +149,26 @@ class BaseRing:
 
     def from_fraction(self, q) -> Scalar:
         q = _rational(q)
-        if self.kind == "rationals":
-            return q
-        return Cyclo((q,) + (0,) * (_CYCLO_DEGREE[self.n] - 1))
+        return Cyclo((q, 0)) if self.n == 4 else q
 
     def element(self, value) -> Scalar:
-        """An int, Fraction or coefficient tuple as an element of this ring."""
-        if isinstance(value, tuple):
+        """An int or Fraction, or over cyclotomic(4) a coefficient pair, as
+        an element of this ring."""
+        if isinstance(value, tuple) and self.n == 4:
             return Cyclo(map(_rational, value))
         return self.from_fraction(value)
 
     def generator(self) -> Scalar:
         """The residue of s.  Undefined over the plain rationals."""
-        if self.kind == "rationals":
+        if self.n is None:
             raise ValueError("the rationals have no distinguished generator")
-        if self.n in _CYCLO_S_VALUE:
-            return Cyclo((_CYCLO_S_VALUE[self.n],))
-        return Cyclo((0, 1))
+        return {1: 1, 2: -1, 4: Cyclo((0, 1))}[self.n]
 
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise NotAUnitError("zero is not invertible")
-        if self.kind == "rationals":
+        if self.n != 4:
             return _rational(Fraction(1, a))
-        if len(a) == 1:
-            return Cyclo((_rational(Fraction(1, a[0])),))
         norm = a[0] * a[0] + a[1] * a[1]
         return Cyclo(_rational(Fraction(x, norm)) for x in (a[0], -a[1]))
 
@@ -198,7 +177,7 @@ class BaseRing:
         canonical embedding (identity, or rationals into a quotient)."""
         if source is self or source == self:
             return a
-        if source.kind == "rationals":
+        if source.n is None:
             return self.from_fraction(a)
         raise IncompatibleRingError(f"no embedding of {source.describe()} into {self.describe()}")
 
@@ -207,19 +186,17 @@ class BaseRing:
     def is_negative(self, a: Scalar) -> bool:
         """True when the element is a pure negative quantity whose sign can
         be pulled out of a rendered term (mixed a + b*s elements are not)."""
-        if self.kind == "rationals":
+        if self.n != 4:
             return a < 0
-        if len(a) == 1 or a[1] == 0:
+        if a[1] == 0:
             return a[0] < 0
         return a[0] == 0 and a[1] < 0
 
     def render(self, a: Scalar, as_factor: bool = False) -> str:
         """Canonical text form.  With `as_factor` the result is safe to
         embed next to `*`; mixed cyclotomic elements get parentheses."""
-        if self.kind == "rationals":
+        if self.n != 4:
             return str(a)
-        if _CYCLO_DEGREE[self.n] == 1:
-            return str(a[0])
         a0, a1 = a
         if a1 == 0:
             return str(a0)

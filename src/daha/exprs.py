@@ -332,7 +332,7 @@ class _Parser:
             ring = self.ring
             if name in ring.params:
                 c = ring.param(name)
-            elif name == "s" and ring.base.kind == "cyclotomic":
+            elif name == "s" and ring.base.n is not None:
                 c = ring.scalar(ring.base.generator())
             else:
                 raise ParseError(f"unknown symbol {name!r}", pos)

@@ -309,14 +309,6 @@ class NCPoly:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            return NotImplemented
-        result = NCPoly.monomial(self.alphabet, self.ring, ())
-        for _ in range(power):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented

@@ -98,13 +98,13 @@ class AmbiguityRecord:
     """A critical pair: two one-step reductions of the same word.
 
     `kind` is "overlap" (suffix of one lhs meets a prefix of the other)
-    or "inclusion" (one lhs sits strictly inside the other).
+    or "inclusion" (one lhs sits strictly inside the other).  Rule 1
+    matches at the start of `word`, rule 2 at `pos2`.
     """
 
     kind: str
     word: Word
     rule1: int
-    pos1: int
     rule2: int
     pos2: int
 
@@ -154,13 +154,13 @@ class EqualityVerdict:
 
     `verdict` is "proved-equal" or "distinct-at-degree", which is decisive
     only for homogeneous relations (module docstring).  `residual` is the
-    normal form of the difference (zero exactly when proved equal).
+    normal form of the difference (zero exactly when proved equal), and
+    the certificate's `confluence_degree` is the degree of the verdict.
     """
 
     verdict: str
     residual: NCPoly
     certificate: ReductionCertificate
-    degree: int
 
     @property
     def equal(self) -> bool:
@@ -169,7 +169,8 @@ class EqualityVerdict:
     def summary(self) -> str:
         if self.equal:
             return f"proved-equal (residual 0, {len(self.certificate.steps)} steps)"
-        return f"distinct-at-degree {self.degree} (residual {self.residual.render()})"
+        degree = self.certificate.confluence_degree
+        return f"distinct-at-degree {degree} (residual {self.residual.render()})"
 
 
 def substitute(terms: dict, word: Word, pos: int, rule: RewriteRule, coeff) -> list:
@@ -390,7 +391,7 @@ class RewriteSystem:
             )
         residual, cert = self.reduce_with_certificate(diff)
         verdict = "proved-equal" if residual.is_zero() else "distinct-at-degree"
-        return EqualityVerdict(verdict, residual, cert, self.confluence_degree)
+        return EqualityVerdict(verdict, residual, cert)
 
     # -- completion -----------------------------------------------------------
 
@@ -404,18 +405,18 @@ class RewriteSystem:
                 for k in range(1, min(len(l1), len(l2))):
                     if l1[len(l1) - k :] == l2[:k] and len(l1) + len(l2) - k <= max_degree:
                         word = l1 + l2[k:]
-                        records.append(AmbiguityRecord("overlap", word, r1.id, 0, r2.id, len(l1) - k))
+                        records.append(AmbiguityRecord("overlap", word, r1.id, r2.id, len(l1) - k))
                 if len(l1) <= max_degree and (len(l2) < len(l1) or (l2 == l1 and r1.id < r2.id)):
                     for pos in range(len(l1) - len(l2) + 1):
                         if l1[pos : pos + len(l2)] == l2:
-                            records.append(AmbiguityRecord("inclusion", l1, r1.id, 0, r2.id, pos))
+                            records.append(AmbiguityRecord("inclusion", l1, r1.id, r2.id, pos))
         return records
 
     def ambiguity_difference(self, amb: AmbiguityRecord) -> NCPoly:
         """Difference of the two one-step reductions of the ambiguous word."""
         terms: dict = {}
         one = self.ring.one()
-        substitute(terms, amb.word, amb.pos1, self.rules[amb.rule1], one)
+        substitute(terms, amb.word, 0, self.rules[amb.rule1], one)
         substitute(terms, amb.word, amb.pos2, self.rules[amb.rule2], -one)
         return as_ncpoly(self.alphabet, self.ring, terms)
 

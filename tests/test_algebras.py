@@ -24,7 +24,6 @@ from daha import (
     map_power,
     preset,
     presentation_spec,
-    resolve_algebra,
     semilinear_apply,
     specialize_presentation,
     verify_map,
@@ -88,16 +87,34 @@ def test_q_helpers(udaha, generic, central):
         product_axiom(central)
 
 
-def test_resolve_algebra(data_dir):
-    assert resolve_algebra("CentralPair").name == "CentralPair"
-    loaded = resolve_algebra(str(data_dir / "udaha.alg"))
+def test_preset_takes_a_name_or_a_path(data_dir):
+    assert preset("CentralPair").name == "CentralPair"
+    loaded = preset(str(data_dir / "udaha.alg"))
     assert loaded.name == "UDAHA_model"
     assert len(loaded.axioms) == 5
     flipped = ("V1", "V0", "T1", "T0")
-    assert resolve_algebra(str(data_dir / "udaha.alg"), flipped).system.order.precedence == flipped
-    assert resolve_algebra("UDAHA_model", flipped).system.order.precedence == flipped
-    with pytest.raises(UnsupportedPresetError):
-        resolve_algebra("NoSuchAlgebra")
+    assert preset(str(data_dir / "udaha.alg"), flipped).system.order.precedence == flipped
+    assert preset("UDAHA_model", order=flipped).system.order.precedence == flipped
+    with pytest.raises(UnsupportedPresetError) as info:
+        preset("NoSuchAlgebra")
+    assert str(info.value) == (
+        "'NoSuchAlgebra' is neither a preset (H_generic, UDAHA_model, CentralPair) nor a file"
+    )
+
+
+def test_presentation_file_loads_through_preset_as_the_preset(data_dir):
+    # tests/data/udaha.alg writes out the UDAHA_model preset: same ring,
+    # axioms and completed rules
+    loaded, shipped = preset(str(data_dir / "udaha.alg")), preset("UDAHA_model")
+    assert loaded.ring == shipped.ring and loaded.alphabet == shipped.alphabet
+    assert [(lhs, rhs.render()) for lhs, rhs in loaded.axioms] == [
+        (lhs, rhs.render()) for lhs, rhs in shipped.axioms
+    ]
+    loaded.complete(6)
+    shipped.complete(6)
+    assert [r.render() for r in loaded.system.sorted_rules()] == [
+        r.render() for r in shipped.system.sorted_rules()
+    ]
 
 
 def test_from_presentation_rejects_bad_rules():

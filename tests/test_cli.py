@@ -1,6 +1,7 @@
 """The command-line surface, driven in-process plus one subprocess smoke test."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import subprocess
@@ -47,6 +48,48 @@ def test_reduce_other_algebras(capsys):
                        "--degree", "4")
     assert code == 0
     assert "normal:  cu*u - 1" in out
+
+
+CYCLOTOMIC_PRESENTATION = """
+[algebra]
+name = Spec{n}
+base = cyclotomic({n})
+params = q inv, c
+generators = T, V
+[rules]
+T*T = (q + s)*T - 1
+V*V = c*V - s*q^-1
+"""
+
+#: n -> (input, normal form, steps, sha256 of the certificate file), as
+#: printed and written before the degree-one quotients held plain rationals
+CYCLOTOMIC_REDUCTIONS = {
+    1: ("T*T*V*V - 1/2*V*T*T - 3*q^-2*V",
+        "(-1/2*q - 1/2)*V*T + (q*c + c)*T*V + (-c + 1/2 - 3*q^-2)*V + (-1 - q^-1)*T + q^-1",
+        4, "89fe7fee46c21bdce8cea368062abb3713b219a6614a2575e83ef366affef870"),
+    2: ("2*T*V*V*T - T*T*V*V - 1/2*V*T*T + 3*q^-2*V",
+        "2*c*T*V*T + (-1/2*q + 1/2)*V*T + (-q*c + c)*T*V + (c + 1/2 + 3*q^-2)*V + (1 - q^-1)*T"
+        " - q^-1",
+        6, "6ed7cb98613fa25c3a5f2b7354b01f006cce8c23843335985b45c0a24418fa50"),
+    4: ("(1 - s)*T*V*V*T + s*T*T*V*V - 1/2*V*T*T - 3*s*q^-2*V",
+        "(1 - s)*c*T*V*T + (-1/2*q - 1/2*s)*V*T + (s*q*c - c)*T*V + (-s*c + 1/2 - 3*s*q^-2)*V"
+        " + (-s + q^-1)*T + s*q^-1",
+        6, "8b2a4a7b207347376ffabc66f1a3ace448fd1213d6c95f295c95a226769de001"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_reduce_over_each_cyclotomic_base_is_pinned(capsys, tmp_path, n):
+    path, cert_path = tmp_path / f"cyc{n}.alg", tmp_path / f"cyc{n}.json"
+    path.write_text(CYCLOTOMIC_PRESENTATION.format(n=n))
+    code, out, _ = run(capsys, "reduce", "s*T*T*V*V - 1/2*V*T*T + (1 - s)*T*V*V*T - 3*s*q^-2*V",
+                       "--algebra", str(path), "--degree", "4", "--json", str(cert_path))
+    initial, normal, steps, digest = CYCLOTOMIC_REDUCTIONS[n]
+    assert code == 0
+    assert out == (f"algebra: Spec{n} (completed to degree 4)\ninput:   {initial}\n"
+                   f"normal:  {normal}\nsteps:   {steps}\ncertificate: {cert_path}\n")
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == digest
+    assert replay(read_certificate(cert_path)).ok
 
 
 def test_reduce_writes_certificate(capsys, tmp_path):

@@ -21,6 +21,7 @@ from daha import (
     divide_exact,
     NCPoly,
     monomial_inverse,
+    parse_expr,
     preset,
     specialize,
 )
@@ -55,12 +56,18 @@ def test_rationals_have_no_generator():
 
 
 def test_base_ring_validation():
-    with pytest.raises(ValueError):
-        BaseRing("rationals", 3)
-    with pytest.raises(ValueError):
-        BaseRing.cyclotomic(3)
-    with pytest.raises(ValueError):
-        BaseRing("integers")
+    for n in (0, 3, 8):
+        with pytest.raises(ValueError):
+            BaseRing.cyclotomic(n)
+    for text in ("rationals(3)", "integers", "cyclotomic(3)"):
+        with pytest.raises(ValueError):
+            BaseRing.from_description(text)
+    assert BaseRing.rationals() == RATIONALS != BaseRing.cyclotomic(1)
+    # a coefficient pair is an element of cyclotomic(4) only
+    for base in (RATIONALS, BaseRing.cyclotomic(1), BaseRing.cyclotomic(2)):
+        with pytest.raises(TypeError):
+            ParamRing(base, []).scalar((1, 2))
+    assert BaseRing.cyclotomic(4).element((1, Fraction(4, 2))) == (1, 2)
 
 
 def test_from_description_round_trip():
@@ -84,8 +91,23 @@ def test_cyclotomic_four_is_the_gaussian_field():
 
 
 def test_cyclotomic_degree_one_quotients():
-    assert BaseRing.cyclotomic(1).generator() == (Fraction(1),)
-    assert BaseRing.cyclotomic(2).generator() == (Fraction(-1),)
+    assert BaseRing.cyclotomic(1).generator() == 1
+    assert BaseRing.cyclotomic(2).generator() == -1
+
+
+@pytest.mark.parametrize("n, value, text", [(1, 1, "3/2*u - q^-1"), (2, -1, "-1/2*u + q^-1")],
+                         ids=["cyc1", "cyc2"])
+def test_s_is_a_rational_over_the_degree_one_quotients(n, value, text):
+    # Q[s]/(s - 1) and Q[s]/(s + 1) are Q: s parses to the rational 1 or -1,
+    # and every scalar of the ring is an int or a Fraction
+    ring = ParamRing(BaseRing.cyclotomic(n), [("q", True)])
+    alphabet = preset("CentralPair").alphabet
+    s = parse_expr("s", alphabet, ring).terms[()]
+    assert s.terms == {ring.bias: value} and exact_types(s) == [int]
+    p = parse_expr("(s + 1/2)*u - s*q^-1", alphabet, ring)
+    assert exact_types(p) == [Fraction, int]
+    assert p.render() == text
+    assert ring.base.inv(ring.base.generator()) == value
 
 
 def test_cyclotomic_render():
@@ -432,7 +454,7 @@ def test_int_first_matches_all_fraction(n):
     base = RATIONALS if n is None else BaseRing.cyclotomic(n)
     ring = ParamRing(base, list(zip(UDAHA_RING.params, UDAHA_RING.invertible)))
     width = len(ring.params)
-    scalars = rational_values if n is None else st.tuples(*[rational_values] * len(base.one()))
+    scalars = st.tuples(rational_values, rational_values) if n == 4 else rational_values
     exponents = st.tuples(*(st.integers(-3 if inv else 0, 3) for inv in ring.invertible))
     polys = st.dictionaries(exponents, scalars, max_size=4).map(partial(laurent_poly, ring))
     units = st.builds(

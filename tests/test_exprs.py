@@ -278,7 +278,7 @@ def ncpolys(ring):
     rationals = st.one_of(
         st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
     )
-    scalars = rationals if ring.base.kind == "rationals" else st.tuples(rationals, rationals)
+    scalars = st.tuples(rationals, rationals) if ring.base.n == 4 else rationals
     exponents = st.tuples(*(st.integers(-3 if inv else 0, 3) for inv in ring.invertible))
     coeffs = st.dictionaries(exponents, scalars, max_size=3).map(partial(laurent_poly, ring))
     words = st.lists(st.integers(0, 3), max_size=5).map(tuple)

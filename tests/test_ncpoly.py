@@ -119,9 +119,8 @@ def test_ring_laws(a, b, c):
 
 @given(polys)
 @settings(**SETTINGS)
-def test_pow_and_scale(p):
-    assert p ** 0 == mono("")
-    assert p ** 2 == p * p
+def test_unit_and_scale(p):
+    assert mono("") * p == p == p * mono("")
     assert p.scale(3) == p + p + p
     assert p.scale(UR.param("Q")) == UR.param("Q") * p
 

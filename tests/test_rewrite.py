@@ -29,7 +29,6 @@ from daha import (
     make_rule,
     preset,
     replay,
-    resolve_algebra,
     semilinear_apply,
 )
 from daha.rewrite import as_ncpoly, step_in_place, substitute
@@ -336,7 +335,7 @@ def test_orientation_error_names_its_source():
 
 
 def test_duplicate_lhs_are_compared(data_dir):
-    alg = resolve_algebra(str(data_dir / "duplicate_lhs.alg"))
+    alg = preset(str(data_dir / "duplicate_lhs.alg"))
     kinds = [amb.kind for amb in alg.system.critical_pairs(4)]
     assert kinds == ["inclusion"]  # one record per pair of rules, not two
     alg.complete(4)

@@ -80,7 +80,9 @@ def test_show_systems_runs():
 def test_show_systems_rejects_an_unknown_preset():
     proc = run_script("show_systems.py", "nope")
     assert proc.returncode == 2
-    assert proc.stderr == "error: unknown preset 'nope'\n"
+    assert proc.stderr == (
+        "error: 'nope' is neither a preset (H_generic, UDAHA_model, CentralPair) nor a file\n"
+    )
 
 
 def test_show_systems_ends_quietly_when_its_reader_closes():

@@ -100,6 +100,18 @@ def test_specializations_keep_the_parameters_of_the_algebra_in_use():
     assert {c.algebra for c in result.checks} == {"H_generic", "H_q1", "H_q-1", "H_qs"}
 
 
+def test_lemma4_3_expects_unnamed_parameters_to_stay_fixed(data_dir):
+    # one more parameter than Lemma 4.3's table names; it used to end the
+    # suite in a KeyError
+    text = (data_dir / "udaha.alg").read_text()
+    extra = text.replace("params = cT0, cT1, cV0, cV1, Q inv", "params = cT0, cT1, cV0, cV1, Q inv, e")
+    assert extra != text
+    result = run_suite("lemma4.3", degree=6, override=load_presentation(extra))
+    assert [c.line() for c in result.checks if not c.passed] == []
+    assert result.counts() == (12, 12)
+    assert {c.name for c in result.checks} >= {"lemma4.3/b/e", "lemma4.3/c/e", "lemma4.3/b/Q"}
+
+
 def test_broken_presentation_fails_value_checks(data_dir):
     spec = load_presentation((data_dir / "udaha_broken.alg").read_text())
     result = run_suite("lemma3.7", degree=6, override=spec)
