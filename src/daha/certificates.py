@@ -1,41 +1,40 @@
 """Serialization and replay of reduction certificates.
 
-A certificate carries its own context: the algebra description, the
-term order, a snapshot of the rule set, and the rendered initial element.
-Replay therefore needs nothing from the producing session.  It builds the
-ring, alphabet and validated rules of each distinct snapshot (the JSON text
-of algebra, order and rules) once per process, in a small LRU that never
-keeps a failed build, with every check run as on a fresh build.  Each
-certificate then pays only for its own part: it parses its initial element,
-hashes that text as read (every writer writes the canonical rendering, so
-the element is never rendered again), applies every recorded step in place
-to one term map through the reduction's own kernel (copy-on-write, see
-:func:`daha.ncpoly.add_product`), in time linear in the number of steps,
-and renders and hashes the final element.  Replay deliberately does not
-re-run completion: it validates the reduction trace, not the provenance of
-the rules.
+A certificate carries its own context: the algebra description, the term
+order, a snapshot of the rule set, and the rendered initial element, so
+replay needs nothing from the producing session.  The ring, alphabet and
+validated rules of each distinct snapshot (the JSON text of algebra, order
+and rules) are built once per process, in a small LRU that never keeps a
+failed build.  Each certificate then pays only for its own part: it reads
+its initial element with :func:`read_element`, the reader of the canonical
+rendering (which also reads rule right-hand sides, and shares no code with
+the expression grammar), hashes that text as read, applies every recorded
+step in place to one term map through the reduction's own kernel
+(copy-on-write, see :func:`daha.ncpoly.add_product`), and renders and
+hashes the final element.  Replay does not re-run completion: it validates
+the reduction trace, not the provenance of the rules.  The optional `states`
+(the rendered element after every step) are derived by the writer by the
+same walk over the steps, and replay checks each one.
 
-The optional `states` list (the rendered element after every step) is a
-function of the certificate: the writer derives it by the same walk over
-the recorded steps that replay makes, and replay checks it step by step.
-
-Tampering surfaces as one of: a hash mismatch, a wrong final rendering,
-or a failing step, reported with its 1-based index: an unknown rule id,
-an absent word, a rule that does not match its recorded word and
-position, an exponent out of range, or a state unlike the recorded one.
+Tampering surfaces as text that does not read, a hash mismatch, a wrong
+final rendering, or a failing step, reported with its 1-based index: an
+unknown rule id, an absent word, a rule that does not match its recorded
+word and position, an exponent out of range, or a state unlike the
+recorded one.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
-from .coeffring import BaseRing, ParamRing
+from .coeffring import MAX_DIGITS, BaseRing, LaurentPoly, ParamRing, too_long
 from .errors import CertificateError, DahaError, ExponentRangeError
-from .exprs import parse_expr
-from .ncpoly import Alphabet, TermOrder, fnv1a64
+from .ncpoly import MAX_DEGREE, MAX_TERMS, Alphabet, NCPoly, TermOrder, fnv1a64
 from .rewrite import (
     ReductionCertificate,
     ReductionStep,
@@ -148,6 +147,94 @@ def read_certificate(path) -> ReductionCertificate:
     return certificate_from_json(data)
 
 
+_SIGN = re.compile(r" ([-+]) ")
+
+#: a factor of a rendered coefficient: a rational, or a name with an optional exponent
+_FACTOR = re.compile(
+    rf"(\d{{1,{MAX_DIGITS}}})(?:/(\d{{1,{MAX_DIGITS}}}))?"
+    rf"|([A-Za-z_]\w*)(?:\^(-?\d{{1,{MAX_DIGITS}}}))?", re.ASCII)
+
+
+def _summands(text: str):
+    """The (sign, text) summands of a rendered sum, each group of parentheses whole."""
+    pieces = _SIGN.split(text)
+    if len(pieces) > 2 * MAX_TERMS:
+        raise CertificateError(f"more than {MAX_TERMS} terms")
+    negative = pieces[0][:1] == "-"
+    pieces[:1] = ["-" if negative else "+", pieces[0][negative:]]  # signs at even indices
+    start = balance = 0
+    for i in range(1, len(pieces), 2):
+        balance += pieces[i].count("(") - pieces[i].count(")")
+        if not balance:
+            yield pieces[start], pieces[i] if i == start + 1 else " ".join(pieces[start + 1:i + 1])
+            start = i + 1
+    if balance:
+        raise CertificateError(f"unbalanced parentheses in {pieces[start + 1]!r}")
+
+
+def read_element(text: str, alphabet: Alphabet, ring: ParamRing) -> dict:
+    """The term map of `text` in the shape `NCPoly.render` writes: terms of a coefficient
+    and generator names, repeated words added up.  A coefficient is a product of one
+    rational at most, `s` and parameter powers, led or not by a group (a sum of coefficients
+    in parentheses, two deep at most).  Other text, or text beyond the parser's budgets,
+    raises :class:`CertificateError`; the grammar reads what this accepts alike."""
+    gens, base, seen = {name: i for i, name in enumerate(alphabet.symbols)}, ring.base, {}
+
+    def bounded(value: LaurentPoly) -> LaurentPoly:
+        if too_long(value):
+            raise CertificateError(f"scalar exceeds {MAX_DIGITS} digits")
+        return value
+
+    def factor(text: str) -> tuple:
+        """Whether `text` is a rational, and its value."""
+        m = _FACTOR.fullmatch(text)
+        if m is None or m[2] and not int(m[2]):
+            raise CertificateError(f"cannot read {text!r}")
+        num, den, name, exponent = m.groups()
+        if num:
+            return True, ring.scalar(Fraction(int(num), int(den or 1)))
+        if name in ring.params and name not in gens:
+            return False, ring.param(name, int(exponent or 1))
+        if name == "s" and exponent is None and base.n is not None and name not in gens:
+            return False, ring.scalar(base.generator())
+        raise CertificateError(f"unknown symbol {text!r}")
+
+    def coefficient(sign: str, text: str, depth: int) -> LaurentPoly:
+        key = (sign, text, depth)
+        if key in seen:
+            return seen[key]
+        if text[:1] == "(":
+            end = text.rfind(")") + 1
+            if depth == 2 or text[end:end + 1] not in ("", "*"):
+                raise CertificateError(f"cannot read {text!r}")
+            value = bounded(sum((coefficient(*s, depth + 1) for s in _summands(text[1:end - 1])), ring.zero()))
+            if end < len(text):
+                value = bounded(value * coefficient("+", text[end + 1:], 2))
+        else:  # from the right, so an unknown name is met before a misplaced one
+            parsed = [seen.get(f) or seen.setdefault(f, factor(f)) for f in reversed(text.split("*"))]
+            if sum(number for number, _ in parsed) > 1:
+                raise CertificateError(f"cannot read {text!r}")
+            value = reduce(LaurentPoly.__mul__, [x for _, x in parsed])
+        value = seen[key] = -value if sign == "-" else value
+        return value
+
+    terms = {}
+    for sign, body in _summands(text):
+        names = body.split("*")  # a group ends in ")", so no group part reads as a letter
+        cut = len(names)
+        while cut and names[cut - 1] in gens:
+            cut -= 1
+        if len(names) - cut > MAX_DEGREE:
+            raise CertificateError(f"word degree exceeds {MAX_DEGREE} in term {body!r}")
+        try:
+            c = coefficient(sign, "*".join(names[:cut]) if cut else "1", 0)
+        except DahaError as exc:
+            raise CertificateError(f"{exc} in term {body!r}") from None
+        word = tuple([gens[name] for name in names[cut:]])
+        terms[word] = bounded(terms[word] + c) if word in terms else c  # partial sums too
+    return {word: c for word, c in terms.items() if c}
+
+
 @dataclass(frozen=True)
 class ReplayResult:
     ok: bool
@@ -205,7 +292,7 @@ def _snapshot(text: str) -> tuple:
             raise CertificateError(f"duplicate rule id {rule_id}")
         try:
             lhs = alphabet.parse_word(lhs_text)
-            rhs = parse_expr(rhs_text, alphabet, ring)
+            rhs = NCPoly(alphabet, ring, read_element(rhs_text, alphabet, ring))
         except (DahaError, ValueError) as exc:
             raise CertificateError(f"bad rule {rule_id}: {exc}") from exc
         rules[rule_id] = make_rule(order, rule_id, lhs, rhs)
@@ -213,21 +300,20 @@ def _snapshot(text: str) -> tuple:
 
 
 def _start(cert: ReductionCertificate) -> tuple:
-    """The snapshot's ring, alphabet and rules, and the initial term map.  The
-    hash is taken over the initial text as read, after the parse, so a text
-    that does not parse is named first and the element is never rendered."""
+    """The snapshot's ring, alphabet and rules, and the initial term map.  The hash is
+    of the initial text as read, taken after reading it, so text that does not read is named first."""
     try:
         ring, alphabet, rules = _snapshot(json.dumps([cert.algebra, cert.order, cert.rules]))
     except (TypeError, ValueError, RecursionError) as exc:  # no JSON text, or too deep for one
         raise CertificateError(f"bad algebra description: {exc}") from exc
 
     try:
-        initial = parse_expr(cert.initial, alphabet, ring)
-    except (DahaError, ValueError) as exc:
+        initial = read_element(cert.initial, alphabet, ring)
+    except CertificateError as exc:
         raise CertificateError(f"bad initial element: {exc}") from exc
     if fnv1a64(cert.initial) != cert.initial_hash:
         raise CertificateError("initial hash mismatch")
-    return ring, alphabet, rules, dict(initial.terms)
+    return ring, alphabet, rules, initial
 
 
 def _steps(cert: ReductionCertificate, rules, alphabet: Alphabet, terms: dict):

@@ -57,6 +57,13 @@ EXPONENT_LIMIT = 1 << (SLOT_BITS - 2)
 
 OUT_OF_RANGE = f"parameter exponent outside {-EXPONENT_LIMIT}..{EXPONENT_LIMIT - 1}"
 
+#: most decimal digits of an integer input writes, or of a numerator or denominator
+#: its arithmetic makes: Python's default limit on int/str conversion, so all render
+MAX_DIGITS = 4300
+
+#: the smallest integer with more than MAX_DIGITS digits
+_TOO_LONG = 10**MAX_DIGITS
+
 
 def _rational(q) -> Union[int, Fraction]:
     """`q` as an exact rational scalar: an `int` when whole, else a `Fraction`."""
@@ -109,7 +116,7 @@ class BaseRing:
     __slots__ = ("n",)
 
     def __init__(self, n: int | None = None):
-        if n not in (None, 1, 2, 4):
+        if n is not None and (type(n) is not int or n not in (1, 2, 4)):  # True == 1
             raise ValueError("only cyclotomic(1), (2) and (4) are supported")
         self.n = n
 
@@ -490,6 +497,15 @@ def monomial_inverse(p: LaurentPoly) -> LaurentPoly:
     if key & ring.guard:
         raise ExponentRangeError(OUT_OF_RANGE)
     return LaurentPoly(ring, {key: ring.base.inv(c)})
+
+
+def too_long(c: LaurentPoly) -> bool:
+    """Whether a numerator or denominator in `c` has more than MAX_DIGITS digits."""
+    for x in c.terms.values():
+        for q in x if isinstance(x, tuple) else (x,):
+            if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+                return True
+    return False
 
 
 def permute_params(p: LaurentPoly, sources: Sequence[int], memo: dict) -> LaurentPoly:

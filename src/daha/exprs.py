@@ -9,36 +9,22 @@ Grammar:
     genproduct := '1' | name ('*' name)*
     rational   := int ('/' int)?
 
-Names resolve, in order, to a generator, a coefficient parameter, or
-the base-ring element `s` (cyclotomic bases only).  `inv` needs an
-algebra context that can invert generator products; canonical renders
-never contain it, so certificate replay can parse with no context.
-`NCPoly.render` output parses back to the same polynomial.
+Names resolve, in order, to a generator, a coefficient parameter, or the
+base-ring element `s` (cyclotomic bases only).  `inv` needs an algebra
+context that can invert generator products.  `NCPoly.render` output parses
+back to the same polynomial; replay reads it with its own smaller reader.
 
-Parsing is a tokenizer and a parser that evaluates as it reads, both
-built for the large renders that certificate replay reads back.
-`tokenize` is one `findall` of a master regex, after one `search` that
-refuses the first stray character: tokens are plain strings closed by an
-empty end token, and a token's kind is read from its text (an operator,
-a name, or an int by `str.isdecimal`, which is what `\d` matches).  The
-recursive-descent parser indexes that list and reports errors at a token
-index, which `parse_expr` turns into a character position only when it
-raises; each grammar rule returns the term map {word: coefficient} of
-the text it read, and no syntax tree is built.  Names are looked up in
-tables built once per `parse_expr` call (generator name -> letter,
-parameter or `s` and its powers -> `LaurentPoly`), and a product folds
-its letters and single-term factors straight into one word and one
-coefficient; only factors with several terms are multiplied out.  Syntax
-and values are checked in the same pass, so the error reported is the
-first one met reading left to right; only a stray character, which the
-tokenizer meets, comes before all.
+Parsing is one `findall` of a master regex, after one `search` that refuses
+the first stray character, and a recursive-descent parser that evaluates as
+it reads and reports the first error met left to right, at a token index that
+`parse_expr` turns into a character position only when it raises.
 
 Input budgets keep hostile text from crashing or exhausting the
-process: `MAX_NESTING` bounds parentheses, `MAX_TERMS` every product
-and every sum, `MAX_DEGREE` the word length of every term built, and
-`MAX_DIGITS` integer literals and every scalar a power, product or sum
-makes, and `coeffring.EXPONENT_LIMIT` every parameter exponent that a
-power or product makes.  Each refusal is a `ParseError`.
+process: `MAX_NESTING` bounds parentheses, `ncpoly.MAX_TERMS` every
+product and every sum, `ncpoly.MAX_DEGREE` the word length of every term
+built, `coeffring.MAX_DIGITS` integer literals and every scalar a power,
+product or sum makes, and `coeffring.EXPONENT_LIMIT` every parameter
+exponent that a power or product makes.  Each refusal is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -50,28 +36,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional
 
-from .coeffring import BaseRing, LaurentPoly, ParamRing, monomial_inverse
+from .coeffring import MAX_DIGITS, BaseRing, LaurentPoly, ParamRing, monomial_inverse, too_long
 from .errors import ExponentRangeError, ParseError, PresentationError
-from .ncpoly import Alphabet, NCPoly, add_terms
+from .ncpoly import MAX_DEGREE, MAX_TERMS, Alphabet, NCPoly, add_terms
 
 #: deepest parenthesis nesting accepted, well inside Python's recursion limit
 MAX_NESTING = 100
-
-#: largest product of two factors' term counts that evaluation multiplies out,
-#: and most terms a sum may reach; about ten times the product of term counts
-#: met in parsing x*y*z*x*y*z*x written out in x, y and z
-MAX_TERMS = 250_000
-
-#: longest word any term may reach during evaluation; far above the degrees
-#: completion works at, and a certificate's render is never longer than its input
-MAX_DEGREE = 1000
-
-#: most decimal digits of an integer literal or of a scalar that `^`, a product or
-#: a sum makes: Python's default limit on int/str conversion, so they still render
-MAX_DIGITS = 4300
-
-#: the smallest integer with more than MAX_DIGITS digits
-_TOO_LONG = 10**MAX_DIGITS
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*^/()]")
 
@@ -112,12 +82,9 @@ def _digits_per_power(c: LaurentPoly) -> float:
 
 
 def _bounded(c: LaurentPoly, pos: int) -> LaurentPoly:
-    """`c`, refused if a numerator or denominator in it has more than MAX_DIGITS
-    digits; comparing with _TOO_LONG costs no render."""
-    for x in c.terms.values():
-        for q in x if isinstance(x, tuple) else (x,):
-            if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
-                raise ParseError(f"scalar exceeds {MAX_DIGITS} digits", pos)
+    """`c`, refused if a numerator or denominator in it has more than MAX_DIGITS digits."""
+    if too_long(c):
+        raise ParseError(f"scalar exceeds {MAX_DIGITS} digits", pos)
     return c
 
 

@@ -6,11 +6,16 @@ that need to mutate a presentation (add axioms, re-complete at a lower
 degree) must build their own instance.
 """
 
+import os
 import random
 import re
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from daha import (
     AlgebraPresentation,
@@ -28,6 +33,13 @@ from daha.algebras import q_symbol, trace_symbol
 from daha.rewrite import as_ncpoly, substitute
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Tests with no @settings of their own take their example count from the
+# profile named by HYPOTHESIS_PROFILE: "tier1" by default, or "thorough"
+# with twenty times the examples.
+settings.register_profile("tier1", max_examples=100, deadline=None)
+settings.register_profile("thorough", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # Degree 10 covers every identity exercised below; completion past degree 7
 # adds no rules for these presets, so this is cheap.
@@ -109,6 +121,21 @@ def laurent_poly(ring, terms: dict) -> LaurentPoly:
         if coeff:
             out[key] = coeff
     return LaurentPoly(ring, out)
+
+
+def ncpolys(alphabet, ring):
+    """Elements of the first four letters of `alphabet` with several terms,
+    negative exponents on the invertible parameters and Fraction scalars."""
+    rationals = st.one_of(
+        st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    )
+    scalars = st.tuples(rationals, rationals) if ring.base.n == 4 else rationals
+    exponents = st.tuples(*(st.integers(-3 if inv else 0, 3) for inv in ring.invertible))
+    coeffs = st.dictionaries(exponents, scalars, max_size=3).map(partial(laurent_poly, ring))
+    words = st.lists(st.integers(0, 3), max_size=5).map(tuple)
+    return st.dictionaries(words, coeffs, max_size=6).map(
+        lambda terms: NCPoly.from_terms(alphabet, ring, terms)
+    )
 
 
 def exponent_terms(c: LaurentPoly) -> dict:

@@ -436,17 +436,17 @@ def test_replay_reports_malformed_certificates(capsys, tmp_path, mutate):
 @pytest.mark.parametrize("mutate, message", [
     pytest.param(
         lambda d: d.update(initial=d["initial"].replace("2*", "2*@")),
-        "bad initial element: stray character '@' (at position 19)",
+        "bad initial element: cannot read '@T1' in term '2*@T1*V0'",
         id="initial-stray",
     ),
     pytest.param(
         lambda d: d.update(initial=d["initial"].replace("T1*V0", "T1*W0")),
-        "bad initial element: unknown symbol 'W0' (at position 22)",
+        "bad initial element: unknown symbol 'W0' in term '2*T1*W0'",
         id="initial-unknown-symbol",
     ),
     pytest.param(
         lambda d: [r.update(rhs=r["rhs"] + " +") for r in d["rules"] if r["id"] == 8],
-        "bad rule 8: unexpected end of input (at position 55)",
+        "bad rule 8: cannot read 'Q^-1 +' in term 'cT1*cV1*Q^-1 +'",
         id="rule-rhs",
     ),
     pytest.param(

@@ -70,6 +70,13 @@ def test_base_ring_validation():
     assert BaseRing.cyclotomic(4).element((1, Fraction(4, 2))) == (1, 2)
 
 
+def test_base_ring_index_is_an_int():
+    # True == 1 and 4.0 == 4, but neither describes itself as a ring that loads back
+    for n in (True, False, 1.0, 4.0):
+        with pytest.raises(ValueError):
+            BaseRing(n)
+
+
 def test_from_description_round_trip():
     for r in (BaseRing.rationals(), BaseRing.cyclotomic(1),
               BaseRing.cyclotomic(2), BaseRing.cyclotomic(4)):

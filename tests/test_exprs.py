@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from daha import (
     preset,
 )
 
-from conftest import exponent_terms, laurent_poly, reference_tokenize
+from conftest import exponent_terms, ncpolys, reference_tokenize
 
 AB = Alphabet(("T0", "T1", "V0", "V1"))
 UR = ParamRing(
@@ -273,23 +272,9 @@ UDAHA_RING = preset("UDAHA_model").ring
 CYC4 = ParamRing(BaseRing.cyclotomic(4), list(zip(UDAHA_RING.params, UDAHA_RING.invertible)))
 
 
-def ncpolys(ring):
-    """Elements with several terms, negative exponents on Q and Fraction scalars."""
-    rationals = st.one_of(
-        st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-    )
-    scalars = st.tuples(rationals, rationals) if ring.base.n == 4 else rationals
-    exponents = st.tuples(*(st.integers(-3 if inv else 0, 3) for inv in ring.invertible))
-    coeffs = st.dictionaries(exponents, scalars, max_size=3).map(partial(laurent_poly, ring))
-    words = st.lists(st.integers(0, 3), max_size=5).map(tuple)
-    return st.dictionaries(words, coeffs, max_size=6).map(
-        lambda terms: NCPoly.from_terms(AB, ring, terms)
-    )
-
-
 @pytest.mark.parametrize("ring", [UDAHA_RING, CYC4], ids=["rationals", "cyc4"])
 def test_render_round_trips(ring):
-    @given(ncpolys(ring))
+    @given(ncpolys(AB, ring))
     @settings(max_examples=50, deadline=None)
     def round_trip(p):
         assert parse_expr(p.render(), AB, ring) == p

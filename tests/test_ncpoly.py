@@ -214,9 +214,29 @@ def test_render_goldens():
 
 
 def test_fnv1a64_reference_vectors():
-    # published FNV-1a test vectors
+    # published FNV-1a test vectors, and the hash of the zero element
     assert fnv1a64("") == "cbf29ce484222325"
     assert fnv1a64("a") == "af63dc4c8601ec8c"
+    assert fnv1a64("0") == "af63ad4c86019caf"
+
+
+def byte_loop_fnv1a64(text: str) -> str:
+    """FNV-1a one byte at a time, masked after every byte."""
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
+
+
+def test_fnv1a64_matches_the_byte_loop_at_every_length_mod_4():
+    # one to four UTF-8 bytes a character, so the byte counts cover every residue
+    text = "(Q - Q^-1)*T1 - é·ŝ€𝔮 + 2*s"
+    lengths = set()
+    for end in range(len(text) + 1):
+        prefix = text[:end]
+        lengths.add(len(prefix.encode("utf-8")) % 4)
+        assert fnv1a64(prefix) == byte_loop_fnv1a64(prefix), prefix
+    assert lengths == {0, 1, 2, 3}
 
 
 def test_canonical_hash_ignores_construction_order():
