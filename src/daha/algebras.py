@@ -309,9 +309,6 @@ class SemilinearMap:
         sources = tuple(ring.index(inverse[name]) for name in ring.params)
         object.__setattr__(self, "_sources", sources)
 
-    def image(self, gen_name: str) -> NCPoly:
-        return self.images[gen_name]
-
     def __repr__(self):
         return f"SemilinearMap({self.name} on {self.algebra.name})"
 

@@ -23,6 +23,16 @@ from .errors import DahaError
 from .suites import SUITE_NAMES, run_suite
 
 
+def _degree(text: str) -> int:
+    try:
+        degree = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if degree < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {degree}")
+    return degree
+
+
 def _parse_order(text: Optional[str]):
     if text is None:
         return None
@@ -157,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=algebra_default,
             help=f"preset ({', '.join(PRESET_NAMES)}) or presentation file",
         )
-        p.add_argument("--degree", type=int, default=10, help="completion degree (default 10)")
+        p.add_argument("--degree", type=_degree, default=10, help="completion degree (default 10)")
         p.add_argument(
             "--order",
             default=None,

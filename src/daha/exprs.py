@@ -89,13 +89,16 @@ def _bounded(c: LaurentPoly, pos: int) -> LaurentPoly:
 
 
 class _Parser:
-    """Recursive descent over a token list that evaluates as it reads.  Each
-    rule takes the index of its first token and returns the term map of the
-    text it read, the token its errors report (the first token of a sum or
-    product, the caret of a power, for parentheses that of the expression
-    inside) and the index after it.  Its errors carry a token index."""
+    """Plain recursive descent over a token list that evaluates as it reads:
+    a sum adds its terms and a product multiplies its factors, left to
+    right.  Each rule takes the index of its first token and returns the
+    term map of the text it read, the token its errors report (the first
+    token of a sum or product, the caret of a power, for parentheses that of
+    the expression inside) and the index after it.  A product that passes a
+    budget is refused at the factor it was multiplying in.  Its errors carry
+    a token index."""
 
-    __slots__ = ("tokens", "depth", "alphabet", "ring", "inv_resolver", "gens", "consts", "one")
+    __slots__ = ("tokens", "depth", "alphabet", "ring", "inv_resolver", "gens", "one")
 
     def __init__(self, tokens: list, alphabet: Alphabet, ring: ParamRing, inv_resolver):
         self.tokens = tokens
@@ -104,7 +107,6 @@ class _Parser:
         self.ring = ring
         self.inv_resolver = inv_resolver
         self.gens = {name: i for i, name in enumerate(alphabet.symbols)}
-        self.consts: dict = {}  # name or (name, exponent) -> LaurentPoly
         self.one = ring.one()
 
     def expect(self, at: int, op: str) -> int:
@@ -139,76 +141,17 @@ class _Parser:
 
     # term := factor ('*' factor)*
     def term(self, at: int):
-        # letters, numbers, names and single-term factors fold into one word and one
-        # coefficient, which join the next factor with several terms as it multiplies
-        tokens, gens, one = self.tokens, self.gens, self.one
         start = at
-        word, coeff, head = [], None, None
-        single = True
-        while True:
-            pos, text = at, tokens[at]
-            value = c = None
-            plain = False  # a parameter or `s`, or a power of one, grows no digits
-            if text.isidentifier() and tokens[at + 1] != "^" and (
-                text != "inv" or tokens[at + 1] != "("
-            ):
-                at += 1
-                i = gens.get(text)
-                if i is None:
-                    c, plain = self.constant(text, pos), True
-                else:
-                    word.append(i)
-            elif text.isdecimal():
-                c, at = self.number(at)
-                if tokens[at] == "^":
-                    exponent, pos, at = self.exponent(at)
-                    value = self.power({(): c} if c else {}, exponent, pos)
-            else:
-                value, pos, at, plain = self.factor(at)
-            if value is not None and len(value) != 1:
-                if word or coeff is not None:
-                    prefix = {tuple(word): one if coeff is None else coeff}
-                    value = self.multiply(prefix, value, pos)
-                    word, coeff = [], None
-                head = value if head is None else self.multiply(head, value, pos)
-                c = None
-            elif value is not None:
-                ((w, c),) = value.items()
-                word.extend(w)
-                if len(word) > MAX_DEGREE:
-                    raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
-                if c is one:
-                    c = None
-            if c is not None:
-                if coeff is None:
-                    coeff = c
-                else:
-                    try:
-                        coeff = coeff * c
-                    except ExponentRangeError as exc:
-                        raise ParseError(str(exc), pos) from None
-                    if not plain:
-                        _bounded(coeff, pos)
-            if tokens[at] != "*":
-                break
-            at += 1
-            single = False
-        if not single:
-            pos = start
-        if head is None or word or coeff is not None:
-            if len(word) > MAX_DEGREE:
-                raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
-            if coeff is None:
-                coeff = one
-            tail = {tuple(word): coeff} if coeff else {}
-            head = tail if head is None else self.multiply(head, tail, pos)
-        return head, pos, at
+        value, pos, at = self.factor(at)
+        if self.tokens[at] != "*":
+            return value, pos, at
+        while self.tokens[at] == "*":
+            right, pos, at = self.factor(at + 1)
+            value = self.multiply(value, right, pos)
+        return value, start, at
 
     # factor := atom ('^' signed-int)?
     def factor(self, at: int):
-        """A name with a caret, or an `inv(...)` or parenthesized expression
-        with or without one; also returns whether it is a power of a
-        parameter or `s`.  `term` folds bare names and numbers itself."""
         tokens = self.tokens
         pos, text = at, tokens[at]
         if text == "(":
@@ -218,25 +161,21 @@ class _Parser:
             value, pos, at = self.expr(at + 1)
             self.depth -= 1
             at = self.expect(at, ")")
+        elif text.isdecimal():
+            c, at = self.number(at)
+            value = {(): c} if c else {}
         elif not text.isidentifier():
             raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
         elif text == "inv" and tokens[at + 1] == "(":
             value, at = self.inverse(at + 2, pos)
-        else:  # a name followed by a caret
+        else:
             i = self.gens.get(text)
-            if i is None:
-                c = self.constant(text, pos)
-                exponent, caret, at = self.exponent(at + 1)
-                key = (text, exponent)
-                power = self.consts.get(key)
-                if power is None:
-                    power = self.consts[key] = self.scalar_power(c, exponent, caret)
-                return {(): power}, caret, at, True
-            value, at = {(i,): self.one}, at + 1
+            value = {(): self.constant(text, pos)} if i is None else {(i,): self.one}
+            at += 1
         if tokens[at] != "^":
-            return value, pos, at, False
+            return value, pos, at
         exponent, caret, at = self.exponent(at)
-        return self.power(value, exponent, caret), caret, at, False
+        return self.power(value, exponent, caret), caret, at
 
     def number(self, at: int):
         """rational := int ('/' int)?, as a constant and the index after it."""
@@ -294,17 +233,12 @@ class _Parser:
         return self.inv_resolver(tuple(word)).terms, at
 
     def constant(self, name: str, pos: int) -> LaurentPoly:
-        c = self.consts.get(name)
-        if c is None:
-            ring = self.ring
-            if name in ring.params:
-                c = ring.param(name)
-            elif name == "s" and ring.base.n is not None:
-                c = ring.scalar(ring.base.generator())
-            else:
-                raise ParseError(f"unknown symbol {name!r}", pos)
-            self.consts[name] = c
-        return c
+        ring = self.ring
+        if name in ring.params:
+            return ring.param(name)
+        if name == "s" and ring.base.n is not None:
+            return ring.scalar(ring.base.generator())
+        raise ParseError(f"unknown symbol {name!r}", pos)
 
     def power(self, value: dict, exponent: int, pos: int) -> dict:
         if len(value) == 1 and () in value:

@@ -83,7 +83,7 @@ def test_criterion_03_four_cycle(criterion, udaha):
         assert all(v.equal for _, v in report)
         fourth = map_power(phi, 4)
         for name in udaha.alphabet.symbols:
-            assert udaha.nf(fourth.image(name)) == udaha.gen(name)
+            assert udaha.nf(fourth.images[name]) == udaha.gen(name)
 
 
 def test_criterion_04_central_commutation(criterion, central, udaha):
@@ -113,7 +113,7 @@ def test_criterion_05_braid_relations(criterion, udaha):
         for name in udaha.alphabet.symbols:
             for phi, psi in ((cubed, squared), (cubed, conj), (squared, conj)):
                 verdicts.append(
-                    udaha.check_equal(phi.image(name), psi.image(name))
+                    udaha.check_equal(phi.images[name], psi.images[name])
                 )
         assert len(verdicts) == 12
         assert all(v.equal for v in verdicts)

@@ -212,7 +212,7 @@ def test_four_cycle_tables(udaha, generic):
 def test_four_cycle_has_order_four(udaha):
     fourth = map_power(four_cycle(udaha), 4)
     for name in udaha.alphabet.symbols:
-        assert udaha.nf(fourth.image(name)) == udaha.gen(name)
+        assert udaha.nf(fourth.images[name]) == udaha.gen(name)
     assert fourth.param_map == {n: n for n in udaha.ring.params}
 
 
@@ -221,17 +221,17 @@ def test_braid_map_tables(udaha):
     assert B.param_map == {
         "cT0": "cV0", "cT1": "cT1", "cV0": "cV1", "cV1": "cT0", "Q": "Q",
     }
-    assert B.image("T0") == udaha.gen("V0")
-    assert B.image("V1") == udaha.gen("T0")
-    assert B.image("T1") == udaha.gen("T1")
-    assert B.image("V0") == udaha.parse("inv(T1)*V1*T1")
+    assert B.images["T0"] == udaha.gen("V0")
+    assert B.images["V1"] == udaha.gen("T0")
+    assert B.images["T1"] == udaha.gen("T1")
+    assert B.images["V0"] == udaha.parse("inv(T1)*V1*T1")
 
     C = braid_c_map(udaha)
     assert C.param_map == {
         "cT0": "cT0", "cT1": "cT1", "cV0": "cV1", "cV1": "cV0", "Q": "Q",
     }
-    assert C.image("V1") == udaha.gen("V0")
-    assert C.image("T0") == udaha.parse("V0*T0*inv(V0)")
+    assert C.images["V1"] == udaha.gen("V0")
+    assert C.images["T0"] == udaha.parse("V0*T0*inv(V0)")
     assert all(v.equal for _, v in verify_map(B, udaha))
     assert all(v.equal for _, v in verify_map(C, udaha))
 
@@ -239,10 +239,10 @@ def test_braid_map_tables(udaha):
 def test_conjugation_map_inverts(udaha):
     A = conjugation_map(udaha)
     A_inv = conjugation_map(udaha, inverse=True)
-    assert A.image("T1") == udaha.gen("T1")
+    assert A.images["T1"] == udaha.gen("T1")
     both = compose_maps(A, A_inv)
     for name in udaha.alphabet.symbols:
-        assert udaha.nf(both.image(name)) == udaha.gen(name)
+        assert udaha.nf(both.images[name]) == udaha.gen(name)
 
 
 def test_verify_map_rejects_non_homomorphism(udaha):
@@ -286,7 +286,7 @@ def test_semilinear_apply_acts_on_coefficients(udaha):
     assert semilinear_apply(B, p) == udaha.scalar(udaha.param("cT0"))
     # and multiplicatively on words
     lhs = semilinear_apply(B, udaha.parse("T0*V1"))
-    assert lhs == udaha.nf(B.image("T0") * B.image("V1"))
+    assert lhs == udaha.nf(B.images["T0"] * B.images["V1"])
 
 
 def test_semilinear_apply_cold_and_warm_memo(udaha):
@@ -297,7 +297,7 @@ def test_semilinear_apply_cold_and_warm_memo(udaha):
     for word, coeff in p.terms.items():
         factor = udaha.scalar(apply_param_map(coeff, B))
         for letter in word:
-            factor = factor * B.image(udaha.alphabet.symbols[letter])
+            factor = factor * B.images[udaha.alphabet.symbols[letter]]
         expected = expected + factor
     expected = udaha.nf(expected)
     assert semilinear_apply(B, p).terms == expected.terms  # cold
@@ -313,8 +313,8 @@ def test_identity_and_composition_laws(udaha):
     left = compose_maps(fc, ident)
     right = compose_maps(ident, fc)
     for name in udaha.alphabet.symbols:
-        assert left.image(name) == fc.image(name)
-        assert right.image(name) == fc.image(name)
+        assert left.images[name] == fc.images[name]
+        assert right.images[name] == fc.images[name]
     assert map_power(fc, 2).param_map == compose_maps(fc, fc).param_map
     assert map_power(fc, 0).param_map == ident.param_map
 

@@ -166,7 +166,7 @@ def test_braid_word_validation():
 def test_b3_to_map_identity(udaha):
     ident = b3_to_map(BraidWord(0, ()), udaha)
     for name in udaha.alphabet.symbols:
-        assert ident.image(name) == udaha.gen(name)
+        assert ident.images[name] == udaha.gen(name)
 
 
 def test_action_is_compatible_with_products(udaha):

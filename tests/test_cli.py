@@ -188,7 +188,7 @@ def test_huge_literal_exits_2(capsys):
 @pytest.mark.parametrize("expr, where", [
     ("Q^99999999999999999999*T0", " (at position 1)"),  # an exponent literal, at its caret
     ("(Q^99999999999)^99999999999*T0", " (at position 2)"),  # the inner power fails first
-    ("Q^999999999*Q^999999999*T0", " (at position 13)"),  # a fold, at the second factor
+    ("Q^999999999*Q^999999999*T0", " (at position 13)"),  # a product, at the second factor
     # parses; the product axiom's Q^-1 leaves the range, named with its rule and word
     ("Q^-1073741824*V0*T0*V1*T1", " (rewriting V0*T0*V1*T1 by rule 8)"),
 ], ids=["literal", "power", "fold", "reduction"])
@@ -303,6 +303,14 @@ def test_verbose_cert_only_where_certificates_are_written(capsys, command):
         main([*command, "--verbose-cert"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --verbose-cert" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("complete",), ("suite", "lemma3.7")])
+def test_negative_degree_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--degree", "-3"])
+    assert exit_info.value.code == 2
+    assert "argument --degree: must be at least 0, got -3" in capsys.readouterr().err
 
 
 # -- suite --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Expression grammar and the presentation file format."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from daha import exprs
@@ -17,6 +18,7 @@ from daha import (
     ParseError,
     PresentationError,
     load_presentation,
+    monomial_inverse,
     parse_expr,
     preset,
 )
@@ -138,7 +140,7 @@ def test_expansion_is_bounded(monkeypatch):
         parse_expr("(T0+T1+V0+V1)^12", AB, UR)
     assert "expansion exceeds 16 terms" in str(info.value)
     assert info.value.pos == 13  # the caret of the refused power
-    # the same budget holds for products, with letters folded in for free
+    # the same budget holds for products; multiplying by a letter adds no terms
     assert len(parse_expr("T0*(T0+T1)*(V0+V1)*V1*(T0+V1)*(T1+V0)", AB, UR).terms) == 16
     with pytest.raises(ParseError) as info:
         parse_expr("(T0+T1)*(V0+V1)*(T0+V1)*(T1+V0)*(T0+T1)", AB, UR)
@@ -166,8 +168,8 @@ def test_degree_is_bounded(monkeypatch, udaha):
         "T0^7": 2,  # a power of a letter, at its caret
         "(T0*T1)^4": 7,  # a power of a word
         "(T0+T1)^7": 7,  # a power of a sum, before it expands
-        "T0^4*T1^3": 7,  # a folded product, at the factor that passes the budget
-        "T0*T0*T0*T0*T0*T0*T0": 0,  # letters, at the product
+        "T0^4*T1^3": 7,  # a product of powers, at the factor that passes the budget
+        "T0*T0*T0*T0*T0*T0*T0": 18,  # letters, at the one that passes the budget
         "(T0+T1)^3*(V0+V1)^4": 17,  # a product of sums
         "T0 + T1^7": 7,
         "inv(T0*T1*V0*V1*T0*T1*V0)": 0,
@@ -215,7 +217,7 @@ def test_ast_to_ncpoly_matches_hand_built(udaha):
     v0t1 = udaha.gen("V0") * udaha.gen("T1")
     assert x == v0t1 + udaha.inv_word(udaha.alphabet.word("V0", "T1"))
     assert udaha.parse("inv(1)") == udaha.one()
-    # products fold letters and scalars but still multiply out sums in order
+    # products multiply letters, scalars and sums in reading order
     t0, t1, v0 = udaha.gen("T0"), udaha.gen("T1"), udaha.gen("V0")
     folded = udaha.parse("2*T0*(Q + cT0)*T1*(T0 - V0)*Q^-1*inv(V0)*3/4")
     by_hand = t0 * t1 * (t0 - v0) * udaha.inv_word(udaha.alphabet.word("V0"))
@@ -288,6 +290,126 @@ def test_mixed_cyclotomic_constant_after_a_term_round_trips():
     p = NCPoly.from_terms(AB, CYC4, {(): coeff})
     assert p.render() == "(s*Q + (-1 + s))"
     assert parse_expr(p.render(), AB, CYC4) == p
+
+
+# -- expression trees, evaluated apart from the parser --------------------------
+
+def expression_trees(ring, with_inv: bool):
+    """Sums of signed products of factors, as nested tuples: generators,
+    rationals, parameters with signed exponents, `s` over cyclotomic(4),
+    `inv(word)`, small powers and parenthesized sums."""
+    atoms = [
+        st.tuples(st.just("gen"), st.integers(0, 3)),
+        st.tuples(st.just("num"), st.integers(0, 12), st.integers(1, 4)),
+        st.sampled_from(ring.params).flatmap(lambda name: st.tuples(
+            st.just("param"), st.just(name), st.integers(-3 if ring.is_invertible(name) else 0, 3)
+        )),
+    ]
+    if ring.base.n == 4:
+        atoms.append(st.just(("s",)))
+    if with_inv:
+        atoms.append(st.tuples(st.just("inv"), st.lists(st.integers(0, 3), max_size=3).map(tuple)))
+
+    def sums(factors):
+        product = st.lists(factors, min_size=1, max_size=3)
+        rest = st.lists(st.tuples(st.sampled_from("+-"), product), max_size=2)
+        return st.tuples(st.sampled_from(["", "+", "-"]), product, rest).map(
+            lambda t: ("sum", [(t[0], t[1]), *t[2]])
+        )
+
+    factors = st.recursive(
+        st.one_of(atoms),
+        lambda inner: st.one_of(st.tuples(st.just("pow"), inner, st.integers(0, 3)), sums(inner)),
+        max_leaves=8,
+    )
+    return sums(factors)
+
+
+def render_tree(node, top: bool = False) -> str:
+    """The text of `node`, as a factor unless it is the `top` sum."""
+    kind = node[0]
+    if kind == "gen":
+        return AB.symbols[node[1]]
+    if kind == "num":
+        return str(node[1]) if node[2] == 1 else f"{node[1]}/{node[2]}"
+    if kind == "param":
+        return node[1] if node[2] == 1 else f"{node[1]}^{node[2]}"
+    if kind == "s":
+        return "s"
+    if kind == "inv":
+        return f"inv({'*'.join(AB.symbols[g] for g in node[1]) or '1'})"
+    if kind == "pow":
+        base = render_tree(node[1])
+        if node[1][0] == "pow" or (node[1][0] == "param" and node[1][2] != 1):
+            base = f"({base})"  # it has a caret of its own
+        return f"{base}^{node[2]}"
+    parts = []
+    for sign, product in node[1]:
+        body = "*".join(map(render_tree, product))
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    text = " ".join(parts)
+    return text if top else f"({text})"
+
+
+def term_bound(node) -> int:
+    """An upper bound on the number of terms of `node`'s value."""
+    if node[0] == "inv":
+        return 2 ** len(node[1])
+    if node[0] == "pow":
+        return term_bound(node[1]) ** node[2]
+    if node[0] == "sum":
+        return sum(math.prod(map(term_bound, product)) for _, product in node[1])
+    return 1
+
+
+def evaluate_tree(node, ring, inv_word) -> NCPoly:
+    """The value of `node` by NCPoly arithmetic, `inv_word` and `monomial_inverse`."""
+    one = NCPoly.monomial(AB, ring, ())
+
+    def power(value, k):
+        out = one
+        for _ in range(k):
+            out = out * value
+        return out
+
+    kind = node[0]
+    if kind == "gen":
+        return NCPoly.monomial(AB, ring, (node[1],))
+    if kind == "num":
+        return one.scale(Fraction(node[1], node[2]))
+    if kind == "param":
+        name, e = node[1], node[2]
+        c = ring.param(name) if e >= 0 else monomial_inverse(ring.param(name))
+        return power(one.scale(c), abs(e))
+    if kind == "s":
+        return one.scale(ring.scalar(ring.base.generator()))
+    if kind == "inv":
+        return inv_word(node[1])
+    if kind == "pow":
+        return power(evaluate_tree(node[1], ring, inv_word), node[2])
+    total = NCPoly.zero(AB, ring)
+    for sign, product in node[1]:
+        value = one
+        for factor in product:
+            value = value * evaluate_tree(factor, ring, inv_word)
+        total = total - value if sign == "-" else total + value
+    return total
+
+
+@pytest.mark.parametrize("base", ["rationals", "cyc4"])
+def test_parse_evaluates_expression_trees(udaha, base):
+    # the example count comes from the Hypothesis profile (see conftest.py)
+    if base == "rationals":
+        ring, inv_word, parse = udaha.ring, udaha.inv_word, udaha.parse
+    else:  # no inv() context: parse_expr without a resolver
+        ring, inv_word, parse = CYC4, None, lambda text: parse_expr(text, AB, CYC4)
+
+    @given(expression_trees(ring, inv_word is not None))
+    def agrees(tree):
+        assume(term_bound(tree) <= 256)
+        assert parse(render_tree(tree, top=True)) == evaluate_tree(tree, ring, inv_word)
+
+    agrees()
 
 
 PIECES = [
