@@ -15,12 +15,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from daha import PRESET_NAMES, DahaError, preset
+from daha.cli import _degree
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degree", type=int, default=8)
-    parser.add_argument("--word-degree", type=int, default=6)
+    parser.add_argument("--degree", type=_degree, default=8)
+    parser.add_argument("--word-degree", type=_degree, default=6)
     parser.add_argument("presets", nargs="*", default=list(PRESET_NAMES))
     args = parser.parse_args()
     try:

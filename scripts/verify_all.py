@@ -15,11 +15,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from daha import SUITE_NAMES, CertificateError, read_certificate, replay, run_suite
+from daha.cli import _degree
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degree", type=int, default=10)
+    parser.add_argument("--degree", type=_degree, default=10)
     parser.add_argument("--out", type=Path, default=Path("verification"))
     parser.add_argument(
         "--verbose-cert",

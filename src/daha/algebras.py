@@ -295,14 +295,14 @@ class SemilinearMap:
     def __post_init__(self):
         ring = self.algebra.ring
         if set(self.images) != set(self.algebra.alphabet.symbols):
-            raise ValueError("images must cover the alphabet exactly")
+            raise UnsupportedPresetError("images must cover the alphabet exactly")
         if set(self.param_map) != set(ring.params) or set(
             self.param_map.values()
         ) != set(ring.params):
-            raise ValueError("parameter action must permute the parameters")
+            raise UnsupportedPresetError("parameter action must permute the parameters")
         for src, dst in self.param_map.items():
             if ring.is_invertible(src) != ring.is_invertible(dst):
-                raise ValueError(
+                raise UnsupportedPresetError(
                     f"parameter action breaks invertibility at {src} -> {dst}"
                 )
         inverse = {dst: src for src, dst in self.param_map.items()}

@@ -11,7 +11,7 @@ Grammar:
 
 Names resolve, in order, to a generator, a coefficient parameter, or the
 base-ring element `s` (cyclotomic bases only).  `inv` needs an algebra
-context that can invert generator products.  `NCPoly.render` output parses
+context that can invert a generator.  `NCPoly.render` output parses
 back to the same polynomial; replay reads it with its own smaller reader.
 
 Parsing is one `findall` of a master regex, after one `search` that refuses
@@ -19,17 +19,19 @@ the first stray character, and a recursive-descent parser that evaluates as
 it reads and reports the first error met left to right, at a token index that
 `parse_expr` turns into a character position only when it raises.
 
-Input budgets keep hostile text from crashing or exhausting the
-process: `MAX_NESTING` bounds parentheses, `ncpoly.MAX_TERMS` every
-product and every sum, `ncpoly.MAX_DEGREE` the word length of every term
-built, `coeffring.MAX_DIGITS` integer literals and every scalar a power,
-product or sum makes, and `coeffring.EXPONENT_LIMIT` every parameter
-exponent that a power or product makes.  Each refusal is a `ParseError`.
+Input budgets keep hostile text from crashing or exhausting the process.
+`_Parser.multiply` forms every product, a power's squares and the one-letter
+inverses of `inv(word)` among them, and `ncpoly.MAX_TERMS` bounds its
+factors' scalar term counts (every Laurent term of every coefficient) as it
+bounds every sum.  `MAX_NESTING` bounds parentheses, `ncpoly.MAX_DEGREE` the
+word length of every term built, `coeffring.MAX_DIGITS` integer literals and
+every scalar a product or sum makes, and `coeffring.EXPONENT_LIMIT` every
+parameter exponent that a power or product makes.  Each refusal is a
+`ParseError`.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,27 +67,11 @@ def _integer(text: str, pos: int) -> int:
     return int(text)
 
 
-def _digits_per_power(c: LaurentPoly) -> float:
-    """A bound, per unit of exponent, on the decimal digits of every
-    numerator and denominator in a power of `c`: log10 of the number of
-    its nonzero rational components plus the sum of their
-    log10(max(|numerator|, denominator)).  It is 0 for a root of unity."""
-    parts = []
-    for x in c.terms.values():
-        if isinstance(x, tuple):
-            parts.extend(q for q in x if q)
-        else:
-            parts.append(x)
-    return math.log10(len(parts)) + sum(
-        math.log10(max(abs(q.numerator), q.denominator)) for q in parts
-    )
-
-
-def _bounded(c: LaurentPoly, pos: int) -> LaurentPoly:
-    """`c`, refused if a numerator or denominator in it has more than MAX_DIGITS digits."""
-    if too_long(c):
+def _bounded(terms: dict, pos: int) -> dict:
+    """`terms`, refused if a numerator or denominator in it has over MAX_DIGITS digits."""
+    if any(map(too_long, terms.values())):
         raise ParseError(f"scalar exceeds {MAX_DIGITS} digits", pos)
-    return c
+    return terms
 
 
 class _Parser:
@@ -94,9 +80,10 @@ class _Parser:
     right.  Each rule takes the index of its first token and returns the
     term map of the text it read, the token its errors report (the first
     token of a sum or product, the caret of a power, for parentheses that of
-    the expression inside) and the index after it.  A product that passes a
-    budget is refused at the factor it was multiplying in.  Its errors carry
-    a token index."""
+    the expression inside) and the index after it.  Every product goes
+    through `multiply`, which refuses one that passes a budget at the token
+    it is given: the factor being multiplied in, a power's caret or `inv`.
+    Its errors carry a token index."""
 
     __slots__ = ("tokens", "depth", "alphabet", "ring", "inv_resolver", "gens", "one")
 
@@ -135,9 +122,7 @@ class _Parser:
             negate = op == "-"
             value, pos, at = self.term(at + 1)
             op = tokens[at]
-        for c in out.values():
-            _bounded(c, start)
-        return out, start, at
+        return _bounded(out, start), start, at
 
     # term := factor ('*' factor)*
     def term(self, at: int):
@@ -230,7 +215,10 @@ class _Parser:
         if len(word) > MAX_DEGREE:
             raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
         at = self.expect(at, ")")
-        return self.inv_resolver(tuple(word)).terms, at
+        value = {(): self.one}
+        for g in reversed(word):
+            value = self.multiply(value, self.inv_resolver((g,)).terms, pos)
+        return value, at
 
     def constant(self, name: str, pos: int) -> LaurentPoly:
         ring = self.ring
@@ -241,53 +229,32 @@ class _Parser:
         raise ParseError(f"unknown symbol {name!r}", pos)
 
     def power(self, value: dict, exponent: int, pos: int) -> dict:
-        if len(value) == 1 and () in value:
-            return {(): self.scalar_power(value[()], exponent, pos)}
+        """`value ** exponent` by square and multiply through `multiply`, once the
+        word degree is checked.  Only a unit scalar takes a negative exponent."""
         if exponent < 0:
-            raise ParseError("negative powers apply to unit scalars only", pos)
-        if not value:
-            return {} if exponent else {(): self.one}
-        if max(map(len, value)) * exponent > MAX_DEGREE:
+            if len(value) != 1 or () not in value or not value[()].is_unit():
+                raise ParseError("negative powers apply to unit scalars only", pos)
+            try:
+                value, exponent = {(): monomial_inverse(value[()])}, -exponent
+            except ExponentRangeError as exc:
+                raise ParseError(str(exc), pos) from None
+        if value and max(map(len, value)) * exponent > MAX_DEGREE:
             raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
-        if len(value) == 1:
-            ((w, c),) = value.items()
-            return {w * exponent: self.scalar_power(c, exponent, pos)}
-        out = {(): self.one}
-        for _ in range(exponent):
-            out = self.multiply(out, value, pos)
-        return out
-
-    def scalar_power(self, c: LaurentPoly, exponent: int, pos: int) -> LaurentPoly:
-        """`c ** exponent` within the digit, term and exponent budgets."""
-        try:
-            if exponent < 0:
-                if not c.is_unit():
-                    raise ParseError("negative powers apply to unit scalars only", pos)
-                c, exponent = monomial_inverse(c), -exponent
-            if c is self.one:
-                return c
-            digits = _digits_per_power(c)
-            if digits and exponent >= MAX_DIGITS / digits:
-                raise ParseError(f"power exceeds {MAX_DIGITS} digits", pos)
-            if len(c.terms) == 1:
-                return c ** exponent
-            result, square = self.one, c
-            while True:
-                if exponent & 1:
-                    if len(result.terms) * len(square.terms) > MAX_TERMS:
-                        raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
-                    result = result * square
-                exponent >>= 1
-                if not exponent:
-                    return result
-                if len(square.terms) ** 2 > MAX_TERMS:
-                    raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
-                square = square * square
-        except ExponentRangeError as exc:
-            raise ParseError(str(exc), pos) from None
+        result, square = {(): self.one}, value
+        while True:
+            if exponent & 1:
+                result = self.multiply(result, square, pos)
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = self.multiply(square, square, pos)
 
     def multiply(self, left: dict, right: dict, pos: int) -> dict:
-        if len(left) * len(right) > MAX_TERMS:
+        """The product of two term maps, refused at `pos` past a budget; a
+        factor's scalar term count counts every Laurent term of every coefficient."""
+        if sum(len(c.terms) for c in left.values()) * sum(
+            len(c.terms) for c in right.values()
+        ) > MAX_TERMS:
             raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
         if left and right and max(map(len, left)) + max(map(len, right)) > MAX_DEGREE:
             raise ParseError(f"word degree exceeds {MAX_DEGREE}", pos)
@@ -296,9 +263,7 @@ class _Parser:
             out = (NCPoly(alphabet, ring, left) * NCPoly(alphabet, ring, right)).terms
         except ExponentRangeError as exc:
             raise ParseError(str(exc), pos) from None
-        for c in out.values():
-            _bounded(c, pos)
-        return out
+        return _bounded(out, pos)
 
 
 def parse_expr(
@@ -317,7 +282,6 @@ def parse_expr(
         m = next(islice(_TOKEN.finditer(text), exc.pos, None), None)
         raise ParseError(exc.message, len(text) if m is None else m.start()) from None
     return NCPoly(alphabet, ring, terms)
-
 
 
 # -- presentation files --------------------------------------------------------

@@ -34,8 +34,9 @@ from .errors import (
 
 Word = tuple  # tuple[int, ...]; indices into an Alphabet
 
-#: most terms a sum of input may reach, and largest product of term counts parsing
-#: multiplies out; ten times that of x*y*z*x*y*z*x written out in x, y and z
+#: most terms a sum of input may reach, and largest product of two factors' scalar
+#: term counts (every Laurent term of every coefficient) that parsing multiplies out;
+#: ten times x*y*z*x*y*z*x written out in x, y and z (20 821 words and scalar terms)
 MAX_TERMS = 250_000
 
 #: longest word a term of input may reach; far above the degrees completion works at

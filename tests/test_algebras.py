@@ -266,11 +266,11 @@ def test_verify_map_rejects_non_homomorphism(udaha):
 def test_semilinear_map_validation(udaha):
     gens = {n: udaha.gen(n) for n in udaha.alphabet.symbols}
     ident = {n: n for n in udaha.ring.params}
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedPresetError):
         SemilinearMap("partial", udaha, {"T0": udaha.gen("T0")}, ident)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedPresetError):
         SemilinearMap("collapse", udaha, gens, dict(ident, cT0="cT1", cT1="cT1"))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedPresetError):
         SemilinearMap("flagbreak", udaha, gens, dict(ident, Q="cT0", cT0="Q"))
 
 

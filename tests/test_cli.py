@@ -162,7 +162,7 @@ def test_huge_power_exits_2(capsys):
     code, out, err = run(capsys, "reduce", "2^20000*T0")
     assert code == 2
     assert not out
-    assert err.startswith("error: power exceeds 4300 digits")
+    assert err.startswith("error: scalar exceeds 4300 digits")
 
 
 @pytest.mark.parametrize("expr", [
@@ -295,6 +295,22 @@ def test_braid_act_writes_report(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == {
         "algebra": "UDAHA_model", "word": "", "input": "T0", "result": "T0",
     }
+
+
+def test_braid_act_on_a_map_that_breaks_invertibility_exits_2(capsys, data_dir, tmp_path):
+    # with cV0 invertible and cT0 not, b's parameter action cT0 -> cV0 is no ring map
+    text = (data_dir / "udaha.alg").read_text()
+    flagged = text.replace("cV0, cV1, Q inv", "cV0 inv, cV1, Q inv")
+    assert flagged != text
+    path = tmp_path / "flagged.alg"
+    path.write_text(flagged)
+    code, out, err = run(capsys, "braid-act", "b", "T0", "--degree", "6", "--algebra", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: parameter action breaks invertibility at cT0 -> cV0\n"
+    # a suite reports the same map as a failed check
+    code, out, _ = run(capsys, "suite", "lemma4.3", "--degree", "6", "--algebra", str(path))
+    assert code == 1
+    assert "FAIL lemma4.3/setup" in out
 
 
 @pytest.mark.parametrize("command", [("complete",), ("braid-act", "b", "T0")])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from daha import exprs
+from daha import coeffring, exprs
 from daha import (
     RATIONALS,
     Alphabet,
@@ -132,7 +132,7 @@ def test_first_error_in_reading_order_is_reported():
     assert info.value.pos == 7
 
 
-def test_expansion_is_bounded(monkeypatch):
+def test_expansion_is_bounded(monkeypatch, udaha):
     monkeypatch.setattr(exprs, "MAX_TERMS", 16)
     # 4 x 4 = 16 term pairs are allowed; the next product would need 64
     assert len(parse_expr("(T0+T1+V0+V1)^2", AB, UR).terms) == 16
@@ -145,6 +145,16 @@ def test_expansion_is_bounded(monkeypatch):
     with pytest.raises(ParseError) as info:
         parse_expr("(T0+T1)*(V0+V1)*(T0+V1)*(T1+V0)*(T0+T1)", AB, UR)
     assert info.value.pos == 33
+    # inv() multiplies its one-letter inverses under the same budget: 2^5 = 32 terms
+    with pytest.raises(ParseError) as info:
+        udaha.parse("inv(T0*T1*V0*V1*T0)")
+    assert "expansion exceeds 16 terms" in str(info.value)
+    assert info.value.pos == 0  # at inv
+    # one word, but 5 x 5 Laurent terms in the coefficients
+    with pytest.raises(ParseError) as info:
+        parse_expr("(1 + Q + Q^2 + Q^3 + Q^4)*(1 + Q + Q^2 + Q^3 + Q^4)*T0", AB, UR)
+    assert "expansion exceeds 16 terms" in str(info.value)
+    assert info.value.pos == 27  # the sum inside the second factor
 
 
 def test_sum_is_bounded(monkeypatch):
@@ -183,6 +193,7 @@ def test_degree_is_bounded(monkeypatch, udaha):
 
 def test_scalar_powers_are_bounded(monkeypatch):
     monkeypatch.setattr(exprs, "MAX_DIGITS", 10)
+    monkeypatch.setattr(coeffring, "_TOO_LONG", 10**10)
     monkeypatch.setattr(exprs, "MAX_TERMS", 16)
     assert parse_expr("2^33", AB, UR) == parse_expr("8589934592", AB, UR)
     assert parse_expr("(2*Q)^-33", AB, UR) == parse_expr("1/8589934592*Q^-33", AB, UR)
@@ -194,8 +205,8 @@ def test_scalar_powers_are_bounded(monkeypatch):
     assert parse_expr("(T0 - T0)^9999999999*T1 + 0^9999999999", AB, UR).is_zero()
     assert parse_expr("0^0", AB, UR) == parse_expr("1", AB, UR)
     refused = {
-        "2^34": ("power exceeds 10 digits", 1),  # 11 digits
-        "(2*Q)^-34": ("power exceeds 10 digits", 5),
+        "2^34": ("scalar exceeds 10 digits", 1),  # 11 digits
+        "(2*Q)^-34": ("scalar exceeds 10 digits", 5),
         "12345678901*T0": ("integer literal longer than 10 digits", 0),
         "1/12345678901": ("integer literal longer than 10 digits", 2),
         "Q^12345678901": ("integer literal longer than 10 digits", 2),
@@ -308,7 +319,7 @@ def expression_trees(ring, with_inv: bool):
     if ring.base.n == 4:
         atoms.append(st.just(("s",)))
     if with_inv:
-        atoms.append(st.tuples(st.just("inv"), st.lists(st.integers(0, 3), max_size=3).map(tuple)))
+        atoms.append(st.tuples(st.just("inv"), st.lists(st.integers(0, 3), max_size=4).map(tuple)))
 
     def sums(factors):
         product = st.lists(factors, min_size=1, max_size=3)
@@ -319,7 +330,7 @@ def expression_trees(ring, with_inv: bool):
 
     factors = st.recursive(
         st.one_of(atoms),
-        lambda inner: st.one_of(st.tuples(st.just("pow"), inner, st.integers(0, 3)), sums(inner)),
+        lambda inner: st.one_of(st.tuples(st.just("pow"), inner, st.integers(0, 5)), sums(inner)),
         max_leaves=8,
     )
     return sums(factors)

@@ -77,6 +77,22 @@ def test_show_systems_runs():
     assert "skipped as already resolved" in proc.stdout
 
 
+@pytest.mark.parametrize("flag", ["--degree", "--word-degree"])
+def test_show_systems_rejects_a_negative_degree(flag):
+    proc = run_script("show_systems.py", flag, "-2")
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert f"argument {flag}: must be at least 0, got -2" in proc.stderr
+
+
+def test_verify_all_rejects_a_negative_degree(tmp_path):
+    proc = run_script("verify_all.py", "--degree", "-1", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert "argument --degree: must be at least 0, got -1" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_show_systems_rejects_an_unknown_preset():
     proc = run_script("show_systems.py", "nope")
     assert proc.returncode == 2
